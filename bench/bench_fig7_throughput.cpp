@@ -199,8 +199,10 @@ SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
 /// acceptance bar is < 10% of fig7 throughput. The epoch cadence is
 /// scaled to the off-trial's wall time so every measurement averages
 /// over at least kMinEpochs completed epochs instead of a single
-/// noise-dominated one.
-void RunCheckpointOverhead(const FrameCache& cache, int image_px,
+/// noise-dominated one. Returns false when the retries still end below
+/// kMinEpochs: the row is written, but the overhead it reports is not the
+/// measurement this scenario promises.
+bool RunCheckpointOverhead(const FrameCache& cache, int image_px,
                            JsonLinesWriter* out) {
   constexpr std::uint64_t kMinEpochs = 5;
   const int cell_px = std::max(1, 20 * image_px / 2000);
@@ -262,6 +264,15 @@ void RunCheckpointOverhead(const FrameCache& cache, int image_px,
                 .Num("epoch_mean_ms", epoch_mean_ms)
                 .Int("epochs_failed",
                      static_cast<long long>(on.epochs_failed)));
+  if (on.epochs_completed < kMinEpochs) {
+    std::fprintf(stderr,
+                 "checkpoint overhead: only %llu of the required %llu epochs "
+                 "completed\n",
+                 static_cast<unsigned long long>(on.epochs_completed),
+                 static_cast<unsigned long long>(kMinEpochs));
+    return false;
+  }
+  return true;
 }
 
 /// Fused vs unfused at saturation: the unthrottled replay at the 10x10
@@ -476,8 +487,8 @@ int main(int argc, char** argv) {
 
   RunFusionComparison(cache, image_px, &out);
   RunKeyedShardScaling(&out);
-  RunCheckpointOverhead(cache, image_px, &out);
+  const bool enough_epochs = RunCheckpointOverhead(cache, image_px, &out);
 
   if (trace_out != nullptr) RunTracedTrial(cache, image_px, trace_out, &out);
-  return 0;
+  return enough_epochs ? 0 : 1;
 }

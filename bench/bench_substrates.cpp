@@ -168,8 +168,8 @@ static void BM_NetManyClients(benchmark::State& state) {
   net::BrokerServer server(&broker, server_options);
   server.Start().OrDie();
 
-  // Park the idle fleet: one uncorrelated long-poll Fetch per connection on
-  // the never-produced-to topic. Nothing ever answers them; they exist to
+  // Park the idle fleet: one long-poll Fetch per connection on the
+  // never-produced-to topic. Nothing ever answers them; they exist to
   // make the server hold ~kClients parked fetches while serving the load.
   net::FetchRequest idle_fetch;
   idle_fetch.entries.push_back({.tp = {"idle", 0}, .offset = 0});
@@ -185,7 +185,8 @@ static void BM_NetManyClients(benchmark::State& state) {
                                        net::After(std::chrono::seconds(10)));
     socket.status().OrDie();
     net::WriteFrame(&*socket, park_payload,
-                    net::After(std::chrono::seconds(10)))
+                    net::After(std::chrono::seconds(10)), TraceContext{},
+                    /*correlation=*/static_cast<std::uint64_t>(i))
         .OrDie();
     idle.push_back(std::move(*socket));
   }

@@ -1,5 +1,7 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
+
 #include "common/codec.hpp"
 
 namespace strata::net {
@@ -31,6 +33,14 @@ bool GetTopicPartition(std::string_view* in, ps::TopicPartition* tp) {
   }
   tp->partition = static_cast<int>(partition);
   return true;
+}
+
+/// Reserve room for `n` elements whose count came off the wire. Every
+/// element takes at least one byte, so capping by the bytes left in `in`
+/// keeps a forged count from allocating more than the body could hold.
+template <typename T>
+void ReserveFromWire(std::vector<T>* v, std::uint32_t n, std::string_view in) {
+  v->reserve(std::min<std::size_t>(n, in.size()));
 }
 
 Status ExpectDrained(std::string_view in) {
@@ -162,7 +172,7 @@ Status DecodeMetadataResponse(std::string_view in, MetadataResponse* out) {
     return Truncated("metadata response");
   }
   out->topics.clear();
-  out->topics.reserve(n);
+  ReserveFromWire(&out->topics, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     TopicMetadata topic;
     std::uint32_t parts = 0;
@@ -170,7 +180,7 @@ Status DecodeMetadataResponse(std::string_view in, MetadataResponse* out) {
         parts > kMaxBatchEntries) {
       return Truncated("metadata topic");
     }
-    topic.partitions.reserve(parts);
+    ReserveFromWire(&topic.partitions, parts, in);
     for (std::uint32_t p = 0; p < parts; ++p) {
       std::int64_t start = 0;
       std::int64_t end = 0;
@@ -192,30 +202,22 @@ void EncodeProduceRequest(const ProduceRequest& req, std::string* out) {
   codec::PutLengthPrefixed(out, req.record.key);
   codec::PutLengthPrefixed(out, req.record.value);
   codec::PutVarint64Signed(out, req.record.timestamp);
-}
-
-void EncodeProduceRequestV4(const ProduceRequest& req, std::string* out) {
-  EncodeProduceRequest(req, out);
   out->push_back(static_cast<char>(req.acks));
 }
 
-Status DecodeProduceRequest(std::string_view in, ProduceRequest* out,
-                            bool accept_acks) {
+Status DecodeProduceRequest(std::string_view in, ProduceRequest* out) {
   if (!GetString(&in, &out->topic) || !GetString(&in, &out->record.key) ||
       !GetString(&in, &out->record.value) ||
-      !codec::GetVarint64Signed(&in, &out->record.timestamp)) {
+      !codec::GetVarint64Signed(&in, &out->record.timestamp) || in.empty()) {
     return Truncated("produce request");
   }
-  out->acks = ProduceAcks::kLeader;
-  if (accept_acks && !in.empty()) {
-    const auto acks = static_cast<std::uint8_t>(in.front());
-    in.remove_prefix(1);
-    if (acks > static_cast<std::uint8_t>(ProduceAcks::kQuorum)) {
-      return Status::Corruption("protocol: unknown produce acks " +
-                                std::to_string(acks));
-    }
-    out->acks = static_cast<ProduceAcks>(acks);
+  const auto acks = static_cast<std::uint8_t>(in.front());
+  in.remove_prefix(1);
+  if (acks > static_cast<std::uint8_t>(ProduceAcks::kQuorum)) {
+    return Status::Corruption("protocol: unknown produce acks " +
+                              std::to_string(acks));
   }
+  out->acks = static_cast<ProduceAcks>(acks);
   return ExpectDrained(in);
 }
 
@@ -252,7 +254,7 @@ Status DecodeFetchRequest(std::string_view in, FetchRequest* out) {
     return Truncated("fetch request");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     FetchRequest::Entry entry;
     if (!GetTopicPartition(&in, &entry.tp) ||
@@ -289,7 +291,7 @@ Status DecodeFetchResponse(std::string_view in, FetchResponse* out) {
     return Truncated("fetch response");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     FetchResponse::Entry entry;
     std::uint32_t records = 0;
@@ -298,7 +300,7 @@ Status DecodeFetchResponse(std::string_view in, FetchResponse* out) {
         !codec::GetVarint32(&in, &records) || records > kMaxBatchEntries) {
       return Truncated("fetch response entry");
     }
-    entry.records.reserve(records);
+    ReserveFromWire(&entry.records, records, in);
     for (std::uint32_t r = 0; r < records; ++r) {
       ps::ConsumedRecord record;
       record.topic = entry.tp.topic;
@@ -357,7 +359,7 @@ Status DecodeHeartbeatResponse(std::string_view in, HeartbeatResponse* out) {
     return Truncated("heartbeat response");
   }
   out->assignment.clear();
-  out->assignment.reserve(n);
+  ReserveFromWire(&out->assignment, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ps::TopicPartition tp;
     if (!GetTopicPartition(&in, &tp)) return Truncated("heartbeat assignment");
@@ -386,7 +388,7 @@ Status DecodeCommitOffsetRequest(std::string_view in,
     return Truncated("commit request");
   }
   out->offsets.clear();
-  out->offsets.reserve(n);
+  ReserveFromWire(&out->offsets, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ps::TopicPartition tp;
     std::int64_t offset = 0;
@@ -414,7 +416,7 @@ Status DecodeOffsetFetchRequest(std::string_view in, OffsetFetchRequest* out) {
     return Truncated("offset_fetch request");
   }
   out->partitions.clear();
-  out->partitions.reserve(n);
+  ReserveFromWire(&out->partitions, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ps::TopicPartition tp;
     if (!GetTopicPartition(&in, &tp)) return Truncated("offset_fetch entry");
@@ -438,7 +440,7 @@ Status DecodeOffsetFetchResponse(std::string_view in,
     return Truncated("offset_fetch response");
   }
   out->offsets.clear();
-  out->offsets.reserve(n);
+  ReserveFromWire(&out->offsets, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::int64_t offset = 0;
     if (!codec::GetVarint64Signed(&in, &offset)) {
@@ -449,7 +451,7 @@ Status DecodeOffsetFetchResponse(std::string_view in,
   return ExpectDrained(in);
 }
 
-// --- replication (v4) -------------------------------------------------------
+// --- replication ------------------------------------------------------------
 
 void EncodeReplicaFetchRequest(const ReplicaFetchRequest& req,
                                std::string* out) {
@@ -473,7 +475,7 @@ Status DecodeReplicaFetchRequest(std::string_view in,
     return Truncated("replica_fetch request");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ReplicaFetchRequest::Entry entry;
     if (!codec::GetVarint32(&in, &entry.partition) ||
@@ -514,7 +516,7 @@ Status DecodeReplicaFetchResponse(std::string_view in,
     return Truncated("replica_fetch response");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ReplicaFetchResponse::Entry entry;
     std::uint32_t records = 0;
@@ -525,7 +527,7 @@ Status DecodeReplicaFetchResponse(std::string_view in,
         !codec::GetVarint32(&in, &records) || records > kMaxBatchEntries) {
       return Truncated("replica_fetch response entry");
     }
-    entry.records.reserve(records);
+    ReserveFromWire(&entry.records, records, in);
     for (std::uint32_t r = 0; r < records; ++r) {
       ps::Record record;
       if (!GetString(&in, &record.key) || !GetString(&in, &record.value) ||
@@ -558,7 +560,7 @@ Status DecodeReplicaAckRequest(std::string_view in, ReplicaAckRequest* out) {
     return Truncated("replica_ack request");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ReplicaAckRequest::Entry entry;
     if (!codec::GetVarint32(&in, &entry.partition) ||
@@ -585,7 +587,7 @@ Status DecodeReplicaAckResponse(std::string_view in, ReplicaAckResponse* out) {
     return Truncated("replica_ack response");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     ReplicaAckResponse::Entry entry;
     if (!codec::GetVarint32(&in, &entry.partition) ||
@@ -618,7 +620,7 @@ Status DecodePromoteLeaderRequest(std::string_view in,
     return Truncated("promote_leader request");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     PromoteLeaderRequest::Entry entry;
     if (!codec::GetVarint32(&in, &entry.partition) ||
@@ -646,7 +648,7 @@ Status DecodePromoteLeaderResponse(std::string_view in,
     return Truncated("promote_leader response");
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  ReserveFromWire(&out->entries, n, in);
   for (std::uint32_t i = 0; i < n; ++i) {
     PromoteLeaderResponse::Entry entry;
     if (!codec::GetVarint32(&in, &entry.partition) ||
@@ -698,7 +700,7 @@ Status DecodeClusterMetaResponse(std::string_view in,
     return Truncated("cluster_meta response");
   }
   out->brokers.clear();
-  out->brokers.reserve(brokers);
+  ReserveFromWire(&out->brokers, brokers, in);
   for (std::uint32_t i = 0; i < brokers; ++i) {
     ClusterMetaResponse::BrokerInfo broker;
     std::uint32_t port = 0;
@@ -715,7 +717,7 @@ Status DecodeClusterMetaResponse(std::string_view in,
     return Truncated("cluster_meta topics");
   }
   out->topics.clear();
-  out->topics.reserve(topics);
+  ReserveFromWire(&out->topics, topics, in);
   for (std::uint32_t i = 0; i < topics; ++i) {
     ClusterMetaResponse::Topic topic;
     std::uint32_t isr = 0;
@@ -725,7 +727,7 @@ Status DecodeClusterMetaResponse(std::string_view in,
         !codec::GetVarint32(&in, &isr) || isr > kMaxBatchEntries) {
       return Truncated("cluster_meta topic");
     }
-    topic.isr.reserve(isr);
+    ReserveFromWire(&topic.isr, isr, in);
     for (std::uint32_t r = 0; r < isr; ++r) {
       std::uint32_t id = 0;
       if (!codec::GetVarint32(&in, &id)) return Truncated("cluster_meta isr");
@@ -735,7 +737,7 @@ Status DecodeClusterMetaResponse(std::string_view in,
     if (!codec::GetVarint32(&in, &parts) || parts > kMaxBatchEntries) {
       return Truncated("cluster_meta partitions");
     }
-    topic.partitions.reserve(parts);
+    ReserveFromWire(&topic.partitions, parts, in);
     for (std::uint32_t p = 0; p < parts; ++p) {
       ClusterMetaResponse::Partition part;
       if (!codec::GetVarint64Signed(&in, &part.log_end) ||
@@ -750,25 +752,22 @@ Status DecodeClusterMetaResponse(std::string_view in,
 }
 
 void EncodeHelloRequest(const HelloRequest& req, std::string* out) {
-  codec::PutVarint32(out, req.max_version);
+  codec::PutVarint32(out, req.version);
 }
 
 Status DecodeHelloRequest(std::string_view in, HelloRequest* out) {
-  if (!codec::GetVarint32(&in, &out->max_version) || out->max_version == 0) {
+  if (!codec::GetVarint32(&in, &out->version) || out->version == 0) {
     return Truncated("hello request");
   }
   return ExpectDrained(in);
 }
 
-void EncodeHelloResponse(const HelloResponse& resp, std::string* out) {
-  codec::PutVarint32(out, resp.version);
-}
-
-Status DecodeHelloResponse(std::string_view in, HelloResponse* out) {
-  if (!codec::GetVarint32(&in, &out->version) || out->version == 0) {
-    return Truncated("hello response");
-  }
-  return ExpectDrained(in);
+Status CheckHello(const HelloRequest& req) {
+  if (req.version == kProtocolVersion) return Status::Ok();
+  return Status::InvalidArgument(
+      "protocol version mismatch: client speaks v" +
+      std::to_string(req.version) + ", server speaks v" +
+      std::to_string(kProtocolVersion));
 }
 
 }  // namespace strata::net

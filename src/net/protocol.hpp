@@ -6,9 +6,10 @@
 // returns Status::Corruption on truncated or trailing bytes — these bytes
 // cross a network, so nothing here may crash or silently mis-parse.
 //
-// The protocol is strictly request/response per connection (no pipelining);
-// clients that want concurrent outstanding calls open more connections,
-// exactly like the thread-per-connection server expects.
+// A connection opens with Hello, which carries kProtocolVersion; the server
+// answers Ok only when both ends speak the same version. Requests may then
+// be pipelined: each frame carries its own correlation id (frame.hpp) and
+// the epoll-reactor server writes every response as soon as it completes.
 #pragma once
 
 #include <cstdint>
@@ -31,20 +32,17 @@ enum class ApiKey : std::uint8_t {
   kCommitOffset = 8,
   kOffsetFetch = 9,
   kHello = 10,
-  // v4 (strata::repl): leader-based partition replication.
+  // Leader-based partition replication (strata::repl).
   kReplicaFetch = 11,
   kReplicaAck = 12,
   kPromoteLeader = 13,
   kClusterMeta = 14,
 };
 
-/// Highest protocol version this build speaks. v1: original framing.
-/// v2: frames may carry the optional trace-context block (frame.hpp).
-/// v3: frames may carry the optional correlation-id block, enabling request
-/// pipelining with out-of-order responses on one connection (frame.hpp).
-/// v4: replication api keys (ReplicaFetch/ReplicaAck/PromoteLeader/
-/// ClusterMeta) and the optional trailing acks byte on Produce bodies.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// The one protocol version this build speaks. Hello checks it for
+/// equality; there is no negotiation and no downgrade. Bump it whenever the
+/// frame layout or any body layout changes.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Human-readable name for metrics labels and diagnostics.
 [[nodiscard]] const char* ApiKeyName(ApiKey api) noexcept;
@@ -60,11 +58,9 @@ struct MetadataRequest {
   std::string topic;  // empty = all topics
 };
 
-/// Produce durability requirement (v4). kLeader acks once the leader has
+/// Produce durability requirement. kLeader acks once the leader has
 /// appended; kQuorum holds the response until a majority of the replica set
-/// has the record (see src/repl/). Encoded as an optional trailing byte so
-/// v4 servers still accept pre-v4 bodies; clients must only send it to
-/// servers that negotiated version >= 4.
+/// has the record (see src/repl/). Every Produce body ends with it.
 enum class ProduceAcks : std::uint8_t {
   kLeader = 0,
   kQuorum = 1,
@@ -104,7 +100,7 @@ struct OffsetFetchRequest {
   std::vector<ps::TopicPartition> partitions;
 };
 
-/// Follower -> leader (v4): pull records for a topic's partitions starting
+/// Follower -> leader: pull records for a topic's partitions starting
 /// at the follower's local log end. The fetch offset doubles as a cumulative
 /// ack ("everything below is appended here") and the request itself is the
 /// follower's heartbeat to the leader.
@@ -136,7 +132,7 @@ struct ReplicaFetchResponse {
   std::vector<Entry> entries;
 };
 
-/// Follower -> leader (v4): explicit ack after appending fetched records, so
+/// Follower -> leader: explicit ack after appending fetched records, so
 /// the high watermark advances without waiting for the next fetch round.
 struct ReplicaAckRequest {
   std::uint32_t follower = 0;
@@ -157,7 +153,7 @@ struct ReplicaAckResponse {
   std::vector<Entry> entries;
 };
 
-/// New leader -> everyone (v4): announce leadership for a topic at a higher
+/// New leader -> everyone: announce leadership for a topic at a higher
 /// epoch. Receivers with longer logs truncate to the new leader's ends
 /// (uncommitted tail of the failed leader) and resume fetching.
 struct PromoteLeaderRequest {
@@ -179,7 +175,7 @@ struct PromoteLeaderResponse {
   std::vector<Entry> entries;
 };
 
-/// Client or peer -> any broker (v4): the cluster metadata view — broker
+/// Client or peer -> any broker: the cluster metadata view — broker
 /// endpoints plus per-topic leader, epoch, in-sync replica set, and
 /// per-partition [end, high-watermark]. Producers/consumers use it to find
 /// the leader; brokers use it during elections to pick the most caught-up
@@ -213,12 +209,10 @@ struct ClusterMetaResponse {
   std::vector<Topic> topics;
 };
 
-/// Version negotiation, sent once per connection before other requests. A
-/// pre-v2 server does not know the api key and severs the connection without
-/// a response; clients treat that as "peer speaks v1" and reconnect (see
-/// ClientConnection::EnsureConnected).
+/// Version check, sent once per connection before other requests. The
+/// response body is empty; see CheckHello for the server's answer.
 struct HelloRequest {
-  std::uint32_t max_version = kProtocolVersion;
+  std::uint32_t version = kProtocolVersion;
 };
 
 // --- response bodies --------------------------------------------------------
@@ -268,11 +262,6 @@ struct OffsetFetchResponse {
   std::vector<std::int64_t> offsets;
 };
 
-struct HelloResponse {
-  /// min(request.max_version, kProtocolVersion): the version both ends speak.
-  std::uint32_t version = 1;
-};
-
 // --- envelope ---------------------------------------------------------------
 
 /// `u8 api_key | body` -> request payload.
@@ -301,16 +290,9 @@ void EncodeMetadataResponse(const MetadataResponse& resp, std::string* out);
 [[nodiscard]] Status DecodeMetadataResponse(std::string_view in,
                                             MetadataResponse* out);
 
-/// Pre-v4 body layout (no acks byte) — what v1..v3 peers expect.
 void EncodeProduceRequest(const ProduceRequest& req, std::string* out);
-/// v4 body layout: appends the acks byte. Only send to servers that
-/// negotiated version >= 4 (older ones reject the trailing byte).
-void EncodeProduceRequestV4(const ProduceRequest& req, std::string* out);
-/// Accepts both layouts; `accept_acks` = false emulates a pre-v4 server
-/// (strict: a trailing acks byte is Corruption, as it would be on the wire).
 [[nodiscard]] Status DecodeProduceRequest(std::string_view in,
-                                          ProduceRequest* out,
-                                          bool accept_acks = true);
+                                          ProduceRequest* out);
 void EncodeProduceResponse(const ProduceResponse& resp, std::string* out);
 [[nodiscard]] Status DecodeProduceResponse(std::string_view in,
                                            ProduceResponse* out);
@@ -382,8 +364,8 @@ void EncodeClusterMetaResponse(const ClusterMetaResponse& resp,
 void EncodeHelloRequest(const HelloRequest& req, std::string* out);
 [[nodiscard]] Status DecodeHelloRequest(std::string_view in,
                                         HelloRequest* out);
-void EncodeHelloResponse(const HelloResponse& resp, std::string* out);
-[[nodiscard]] Status DecodeHelloResponse(std::string_view in,
-                                         HelloResponse* out);
+/// The server's answer to a decoded Hello: Ok when the peer speaks
+/// kProtocolVersion, otherwise InvalidArgument naming both versions.
+[[nodiscard]] Status CheckHello(const HelloRequest& req);
 
 }  // namespace strata::net

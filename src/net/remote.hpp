@@ -4,10 +4,12 @@
 // interfaces as the embedded transport, so STRATA pipelines switch between
 // in-process and networked brokers without code changes.
 //
-// Each producer and consumer owns its own connection: this client speaks
-// strict request/response (it does not use the protocol's v3 correlation-id
-// pipelining), so a consumer's long-poll Fetch would otherwise block every
-// producer sharing the socket. Connections reconnect transparently with
+// Each producer and consumer owns its own connection: this client has one
+// request in flight at a time (it does not pipeline), so a consumer's
+// long-poll Fetch would otherwise block every producer sharing the socket.
+// Every connection opens with Hello; a server built with another protocol
+// version refuses it, and that error is returned without retry. Connections
+// reconnect transparently with
 // decorrelated-jitter backoff — randomized per connection so a fleet severed
 // by one broker restart fans back in instead of reconnecting in lockstep —
 // and a request that exhausts its retries surfaces the last transport error
@@ -56,8 +58,6 @@ struct RemoteOptions {
   std::vector<std::pair<std::string, std::uint16_t>> bootstrap;
   /// Produce durability: kLeader acks once the leader appended, kQuorum
   /// holds the ack until a majority of the cluster replicated the record.
-  /// Ignored (with a version-gated downgrade to leader acks) when the
-  /// negotiated protocol predates v4.
   ProduceAcks acks = ProduceAcks::kLeader;
   /// How many refresh-and-retry rounds a routed call may spend chasing the
   /// leader across failovers before surfacing the last error.
@@ -76,37 +76,21 @@ class ClientConnection {
 
   /// Round-trip one request. Reconnects and retries (decorrelated-jitter
   /// backoff, capped at backoff_max) on transport errors when `retry`
-  /// allows it; application errors from the server are returned as-is
-  /// without retry. `extra_wait` widens the read deadline for server-side
-  /// long-polls.
+  /// allows it; application errors from the server — a refused Hello
+  /// included — are returned as-is without retry. `extra_wait` widens the
+  /// read deadline for server-side long-polls.
   [[nodiscard]] Status Call(ApiKey api, std::string_view body,
                             std::string* response_body,
                             std::chrono::microseconds extra_wait = {},
                             bool retry = true);
 
-  /// Builds one request body per attempt, *after* the connection (and its
-  /// Hello negotiation) is up, so the encoding can depend on the peer's
-  /// protocol version — a v4-aware producer downgrades its acks byte away
-  /// when talking to an older broker.
-  using BodyBuilder = std::function<void(std::uint32_t version, std::string*)>;
-  [[nodiscard]] Status Call(ApiKey api, const BodyBuilder& make_body,
-                            std::string* response_body,
-                            std::chrono::microseconds extra_wait = {},
-                            bool retry = true);
-
-  /// Re-point the connection at another broker: closes the socket and
-  /// forgets the negotiated version (the next Call reconnects + renegotiates
-  /// against the new peer).
+  /// Re-point the connection at another broker: closes the socket (the
+  /// next Call reconnects and sends Hello to the new peer).
   void SetEndpoint(const std::string& host, std::uint16_t port);
   [[nodiscard]] const std::string& host() const noexcept {
     return options_.host;
   }
   [[nodiscard]] std::uint16_t port() const noexcept { return options_.port; }
-
-  /// Version negotiated for the current connection (1 until connected).
-  [[nodiscard]] std::uint32_t server_version() const noexcept {
-    return server_version_;
-  }
 
   /// Drop the connection; the next Call reconnects.
   void Disconnect() noexcept { socket_.Close(); }
@@ -124,26 +108,22 @@ class ClientConnection {
   void Cancel();
 
  private:
+  /// Connect and send Hello. A refused Hello (version mismatch) comes back
+  /// as a server error; the socket is closed on any failure.
   [[nodiscard]] Status EnsureConnected();
   /// Next retry sleep: uniform in [backoff_initial, 3 * previous), capped
   /// at backoff_max (decorrelated jitter).
   [[nodiscard]] std::chrono::microseconds NextBackoff();
+  /// One request and its response, matched by correlation id.
   [[nodiscard]] Status RoundTrip(ApiKey api, std::string_view body,
                                  std::string* response_body,
                                  std::chrono::microseconds extra_wait);
-  /// Sends Hello once per connection to learn the peer's protocol version.
-  /// A pre-v2 server severs the connection instead of answering; that is
-  /// remembered in assume_v1_ so reconnects never pay the probe again.
-  [[nodiscard]] Status Negotiate();
 
   RemoteOptions options_;
   Socket socket_;
   std::string scratch_;
-  /// Version negotiated for the *current* connection (1 until Hello runs).
-  /// Trace-flagged frames are only sent when this is >= 2.
-  std::uint32_t server_version_ = 1;
-  /// Set when the peer severed a Hello: it predates version negotiation.
-  bool assume_v1_ = false;
+  /// Correlation id of the last request sent.
+  std::uint64_t correlation_ = 0;
   obs::Counter* retries_ = nullptr;
   obs::Counter* reconnects_ = nullptr;
 
@@ -165,19 +145,18 @@ class ClientConnection {
 /// refresh against the known endpoints (bootstrap seeds plus every broker
 /// learned from previous refreshes), and the call is retried against the
 /// discovered leader — bounded by RemoteOptions::cluster_refresh_rounds.
-/// Against a standalone or pre-repl broker the refresh degrades to a no-op
-/// (ClusterMeta is unknown there) and calls behave like a plain connection.
+/// Against a standalone broker the refresh degrades to a no-op (it answers
+/// ClusterMeta with InvalidArgument) and calls behave like a plain
+/// connection.
 /// Not thread-safe, same single-owner contract as ClientConnection.
 class LeaderRouter {
  public:
   explicit LeaderRouter(RemoteOptions options);
 
   /// Round-trip with leader re-routing. `topic` scopes the leader lookup on
-  /// refresh (group traffic follows its topic's leader). The body builder
-  /// runs per attempt with the freshly negotiated version.
+  /// refresh (group traffic follows its topic's leader).
   [[nodiscard]] Status Call(ApiKey api, const std::string& topic,
-                            const ClientConnection::BodyBuilder& make_body,
-                            std::string* response_body,
+                            std::string_view body, std::string* response_body,
                             std::chrono::microseconds extra_wait = {});
 
   [[nodiscard]] ClientConnection& connection() noexcept { return connection_; }
@@ -185,7 +164,7 @@ class LeaderRouter {
  private:
   /// Probe the known endpoints for cluster metadata and re-point the
   /// connection at `topic`'s leader (or at any live broker when the cluster
-  /// has no view of the topic / does not speak v4).
+  /// has no view of the topic, or the broker is standalone).
   void Refresh(const std::string& topic);
 
   RemoteOptions options_;
@@ -258,7 +237,7 @@ class RemoteConsumer final : public ps::ConsumerClient {
   [[nodiscard]] Status JoinOnCurrentLeader();
 
   /// Routed call bound to this consumer's topic.
-  [[nodiscard]] Status Call(ApiKey api, const std::string& body,
+  [[nodiscard]] Status Call(ApiKey api, std::string_view body,
                             std::string* response,
                             std::chrono::microseconds extra_wait = {});
 

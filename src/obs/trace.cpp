@@ -86,11 +86,11 @@ std::int64_t TraceNowUs() noexcept {
 
 SpanRing::SpanRing(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
+      slots_(new RingSlot[capacity == 0 ? 1 : capacity]) {}
 
 void SpanRing::Push(const Span& span) noexcept {
   const std::uint64_t index = pushed_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[index % capacity_];
+  RingSlot& slot = slots_[index % capacity_];
 
   std::uint64_t words[kWordsPerSpan];
   std::memcpy(words, &span, sizeof(span));
@@ -117,7 +117,7 @@ void SpanRing::Snapshot(std::vector<Span>* out) const {
   std::uint64_t first = total > capacity_ ? total - capacity_ : 0;
   first = std::max(first, cleared_.load(std::memory_order_acquire));
   for (std::uint64_t i = first; i < total; ++i) {
-    const Slot& slot = slots_[i % capacity_];
+    const RingSlot& slot = slots_[i % capacity_];
     std::uint64_t words[kWordsPerSpan];
     const std::uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before % 2 != 0 || before == 0) continue;  // mid-write or never written

@@ -82,13 +82,13 @@ class SpanRing {
  private:
   static constexpr std::size_t kWordsPerSpan = sizeof(Span) / sizeof(std::uint64_t);
 
-  struct Slot {
+  struct RingSlot {
     std::atomic<std::uint64_t> seq{0};  // odd while a write is in progress
     std::atomic<std::uint64_t> words[kWordsPerSpan];
   };
 
   const std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<RingSlot[]> slots_;
   // pushed_ doubles as the write index (slot = pushed_ % capacity); only the
   // owner thread advances it. cleared_ is the snapshot floor set by Clear().
   std::atomic<std::uint64_t> pushed_{0};

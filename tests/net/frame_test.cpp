@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "net/protocol.hpp"
@@ -49,30 +51,46 @@ TEST(Frame, EmptyPayloadRoundTrips) {
   EXPECT_TRUE(received.empty());
 }
 
-TEST(Frame, EveryPayloadBitFlipIsCorruption) {
-  const std::string payload = "framed payload under test";
-  std::string frame;
-  EncodeFrame(payload, &frame);
-
-  // Flip each bit of the payload section (after the 8-byte header) and
-  // confirm the CRC catches it.
-  for (std::size_t byte = 8; byte < frame.size(); ++byte) {
+/// Flip every bit of frame[begin, end) in turn and expect each mutated
+/// frame to read back as Corruption.
+void ExpectEveryBitFlipIsCorruption(const std::string& frame,
+                                    std::size_t begin, std::size_t end) {
+  for (std::size_t byte = begin; byte < end; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       SocketPair pair = MakePair();
       std::string mutated = frame;
       mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
       ASSERT_TRUE(pair.client.WriteAll(mutated, After(kTestDeadline)).ok());
       std::string received;
-      Status read = ReadFrame(&pair.server, &received, After(kTestDeadline));
+      TraceContext trace;
+      std::uint64_t correlation = 0;
+      Status read = ReadFrame(&pair.server, &received, After(kTestDeadline),
+                              &trace, &correlation);
       EXPECT_TRUE(read.IsCorruption())
           << "byte " << byte << " bit " << bit << ": " << read.ToString();
     }
   }
 }
 
+/// Byte offsets of the fixed blocks inside a frame.
+constexpr std::size_t kTraceBlockAt = 8;
+constexpr std::size_t kCorrelationBlockAt = 24;
+
+TEST(Frame, EveryPayloadBitFlipIsCorruption) {
+  TraceContext trace;
+  trace.trace_id = 0x1122334455667788ull;
+  trace.parent_span = 0x99aabbccddeeff00ull;
+  std::string frame;
+  EncodeFrame("framed payload under test", trace, 0x8877665544332211ull,
+              &frame);
+  // Everything after the length and CRC words — trace block, correlation
+  // block and payload — is covered by the CRC.
+  ExpectEveryBitFlipIsCorruption(frame, kTraceBlockAt, frame.size());
+}
+
 TEST(Frame, CorruptCrcHeaderIsCorruption) {
   std::string frame;
-  EncodeFrame("payload", &frame);
+  EncodeFrame("payload", {}, 0, &frame);
   frame[4] = static_cast<char>(frame[4] ^ 0x40);  // inside the masked CRC
 
   SocketPair pair = MakePair();
@@ -85,7 +103,7 @@ TEST(Frame, CorruptCrcHeaderIsCorruption) {
 TEST(Frame, ImplausibleLengthRejectedBeforeAllocation) {
   std::string frame;
   codec::PutFixed32(&frame, kMaxFrameBytes + 1);
-  codec::PutFixed32(&frame, 0);
+  frame.resize(kFrameHeaderBytes, '\0');  // CRC and blocks: zeros
 
   SocketPair pair = MakePair();
   ASSERT_TRUE(pair.client.WriteAll(frame, After(kTestDeadline)).ok());
@@ -104,7 +122,7 @@ TEST(Frame, PeerCloseSurfacesAsUnavailable) {
 
 TEST(Frame, TruncatedFrameThenCloseSurfacesAsUnavailable) {
   std::string frame;
-  EncodeFrame("payload that will be cut short", &frame);
+  EncodeFrame("payload that will be cut short", {}, 0, &frame);
   SocketPair pair = MakePair();
   ASSERT_TRUE(pair.client
                   .WriteAll(std::string_view(frame).substr(0, frame.size() / 2),
@@ -136,35 +154,38 @@ TEST(Frame, ShutdownUnblocksPendingRead) {
   EXPECT_FALSE(read.ok());
 }
 
-// --- trace-context block (protocol v2) ---------------------------------------
+// --- trace and correlation blocks -------------------------------------------
 
 TEST(Frame, TracedFrameRoundTripsContext) {
   SocketPair pair = MakePair();
   TraceContext trace;
   trace.trace_id = 0x1122334455667788ull;
   trace.parent_span = 0x99aabbccddeeff00ull;
-  ASSERT_TRUE(
-      WriteFrame(&pair.client, "traced payload", After(kTestDeadline), &trace)
-          .ok());
+  ASSERT_TRUE(WriteFrame(&pair.client, "traced payload", After(kTestDeadline),
+                         trace, 0x0102030405060708ull)
+                  .ok());
 
   std::string received;
   TraceContext decoded;
   decoded.trace_id = 1;  // must be overwritten, not merely left alone
-  ASSERT_TRUE(
-      ReadFrame(&pair.server, &received, After(kTestDeadline), &decoded).ok());
+  std::uint64_t correlation = 0;
+  ASSERT_TRUE(ReadFrame(&pair.server, &received, After(kTestDeadline),
+                        &decoded, &correlation)
+                  .ok());
   EXPECT_EQ(received, "traced payload");
   EXPECT_EQ(decoded.trace_id, trace.trace_id);
   EXPECT_EQ(decoded.parent_span, trace.parent_span);
+  EXPECT_EQ(correlation, 0x0102030405060708ull);
 }
 
 TEST(Frame, TracedFrameReadableWithoutTraceSink) {
   // A reader that does not care about traces still gets the payload: the
-  // trace block is consumed and the chained CRC still verifies.
+  // blocks are consumed and the chained CRC still verifies.
   SocketPair pair = MakePair();
   TraceContext trace;
   trace.trace_id = 42;
   ASSERT_TRUE(
-      WriteFrame(&pair.client, "payload", After(kTestDeadline), &trace).ok());
+      WriteFrame(&pair.client, "payload", After(kTestDeadline), trace, 7).ok());
   std::string received;
   ASSERT_TRUE(ReadFrame(&pair.server, &received, After(kTestDeadline)).ok());
   EXPECT_EQ(received, "payload");
@@ -176,21 +197,29 @@ TEST(Frame, UntracedFrameZeroesTraceSink) {
   std::string received;
   TraceContext decoded;
   decoded.trace_id = 7;  // stale state from a previous traced frame
-  ASSERT_TRUE(
-      ReadFrame(&pair.server, &received, After(kTestDeadline), &decoded).ok());
+  std::uint64_t correlation = 9;
+  ASSERT_TRUE(ReadFrame(&pair.server, &received, After(kTestDeadline),
+                        &decoded, &correlation)
+                  .ok());
   EXPECT_EQ(decoded.trace_id, 0u);
   EXPECT_FALSE(decoded.sampled());
+  EXPECT_EQ(correlation, 0u);
 }
 
 TEST(Frame, UnsampledContextFallsBackToPlainFrame) {
-  // An unsampled context must not spend 16 bytes per frame: the encoder
-  // emits the v1 form, byte-identical to an untraced encode.
+  // The blocks are fixed: an unsampled context (no trace id, whatever its
+  // parent span) encodes as an all-zero trace block, byte-identical to a
+  // default-constructed one.
   TraceContext unsampled;
-  std::string traced_encode;
-  EncodeFrame("body", unsampled, &traced_encode);
+  unsampled.parent_span = 0x1234;
+  std::string unsampled_encode;
+  EncodeFrame("body", unsampled, 0, &unsampled_encode);
   std::string plain_encode;
-  EncodeFrame("body", &plain_encode);
-  EXPECT_EQ(traced_encode, plain_encode);
+  EncodeFrame("body", {}, 0, &plain_encode);
+  EXPECT_EQ(unsampled_encode, plain_encode);
+  ASSERT_EQ(plain_encode.size(), kFrameHeaderBytes + 4);
+  EXPECT_EQ(plain_encode.substr(kTraceBlockAt, 16), std::string(16, '\0'));
+  EXPECT_EQ(plain_encode.substr(kFrameHeaderBytes), "body");
 }
 
 TEST(Frame, EveryTraceBlockBitFlipIsCorruption) {
@@ -198,24 +227,10 @@ TEST(Frame, EveryTraceBlockBitFlipIsCorruption) {
   trace.trace_id = 0xdeadbeef;
   trace.parent_span = 0xfeedface;
   std::string frame;
-  EncodeFrame("guarded by chained crc", trace, &frame);
-
-  // The 16-byte trace block sits between the 8-byte header and the payload;
-  // its bits are covered by the frame CRC just like payload bits.
-  for (std::size_t byte = 8; byte < 24; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      SocketPair pair = MakePair();
-      std::string mutated = frame;
-      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      ASSERT_TRUE(pair.client.WriteAll(mutated, After(kTestDeadline)).ok());
-      std::string received;
-      TraceContext decoded;
-      Status read =
-          ReadFrame(&pair.server, &received, After(kTestDeadline), &decoded);
-      EXPECT_TRUE(read.IsCorruption())
-          << "byte " << byte << " bit " << bit << ": " << read.ToString();
-    }
-  }
+  EncodeFrame("guarded by chained crc", trace, 11, &frame);
+  // The 16-byte trace block follows the length and CRC words; its bits are
+  // covered by the frame CRC just like payload bits.
+  ExpectEveryBitFlipIsCorruption(frame, kTraceBlockAt, kCorrelationBlockAt);
 }
 
 // --- protocol envelope + body codecs ----------------------------------------
@@ -287,16 +302,25 @@ TEST(Protocol, FetchRoundTrip) {
 
 TEST(Protocol, HelloRoundTripAndVersionFloor) {
   std::string body;
-  EncodeHelloRequest(HelloRequest{kProtocolVersion}, &body);
+  EncodeHelloRequest(HelloRequest{}, &body);
   HelloRequest req;
   ASSERT_TRUE(DecodeHelloRequest(body, &req).ok());
-  EXPECT_EQ(req.max_version, kProtocolVersion);
+  EXPECT_EQ(req.version, kProtocolVersion);
+  EXPECT_TRUE(CheckHello(req).ok());
 
-  body.clear();
-  EncodeHelloResponse(HelloResponse{2}, &body);
-  HelloResponse resp;
-  ASSERT_TRUE(DecodeHelloResponse(body, &resp).ok());
-  EXPECT_EQ(resp.version, 2u);
+  // Any other version — older or newer — is refused, naming both.
+  for (const std::uint32_t other : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    const Status refused = CheckHello(HelloRequest{other});
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+    EXPECT_NE(refused.message().find("v" + std::to_string(other)),
+              std::string::npos)
+        << refused.message();
+    EXPECT_NE(
+        refused.message().find("v" + std::to_string(kProtocolVersion)),
+        std::string::npos)
+        << refused.message();
+  }
 
   // Version 0 does not exist on any wire; reject rather than misbehave.
   body.clear();
@@ -304,21 +328,218 @@ TEST(Protocol, HelloRoundTripAndVersionFloor) {
   EXPECT_FALSE(DecodeHelloRequest(body, &req).ok());
 }
 
-TEST(Protocol, TruncatedBodiesAlwaysError) {
-  CommitOffsetRequest req;
-  req.group = "g";
-  req.offsets.emplace_back(ps::TopicPartition{"t", 1}, 42);
+/// One body codec under test: a valid encoding plus its decoder.
+struct BodyCase {
+  const char* name;
   std::string body;
-  EncodeCommitOffsetRequest(req, &body);
-  for (std::size_t cut = 1; cut <= body.size(); ++cut) {
-    CommitOffsetRequest out;
-    EXPECT_FALSE(DecodeCommitOffsetRequest(
-                     std::string_view(body.data(), body.size() - cut), &out)
-                     .ok())
-        << "cut=" << cut;
+  std::function<Status(std::string_view)> decode;
+};
+
+template <typename Msg>
+BodyCase MakeCase(const char* name, const Msg& msg,
+                  void (*encode)(const Msg&, std::string*),
+                  Status (*decode)(std::string_view, Msg*)) {
+  BodyCase c{name, {}, [decode](std::string_view in) {
+               Msg out;
+               return decode(in, &out);
+             }};
+  encode(msg, &c.body);
+  return c;
+}
+
+/// A valid, non-trivial message for every request and response body codec:
+/// every repeated field holds at least one element, so truncation reaches
+/// the nested decoders too.
+std::vector<BodyCase> AllBodyCodecs() {
+  const ps::TopicPartition tp{"t", 1};
+  std::vector<BodyCase> cases;
+
+  CreateTopicRequest create;
+  create.topic = "t";
+  create.config = {.partitions = 3, .retention_records = 300};
+  cases.push_back(
+      MakeCase("create_topic", create, &EncodeCreateTopic, &DecodeCreateTopic));
+
+  cases.push_back(MakeCase("metadata_request", MetadataRequest{"t"},
+                           &EncodeMetadataRequest, &DecodeMetadataRequest));
+  MetadataResponse metadata;
+  metadata.topics.push_back(TopicMetadata{"t", {{0, 300}, {5, 6}}});
+  cases.push_back(MakeCase("metadata_response", metadata,
+                           &EncodeMetadataResponse, &DecodeMetadataResponse));
+
+  ProduceRequest produce;
+  produce.topic = "t";
+  produce.record = ps::Record{"k", "v", -300};
+  produce.acks = ProduceAcks::kQuorum;
+  cases.push_back(MakeCase("produce_request", produce, &EncodeProduceRequest,
+                           &DecodeProduceRequest));
+  cases.push_back(MakeCase("produce_response", ProduceResponse{1, 300},
+                           &EncodeProduceResponse, &DecodeProduceResponse));
+
+  FetchRequest fetch;
+  fetch.entries.push_back({tp, 300, 128});
+  fetch.max_wait_us = 300;
+  cases.push_back(MakeCase("fetch_request", fetch, &EncodeFetchRequest,
+                           &DecodeFetchRequest));
+  FetchResponse fetched;
+  FetchResponse::Entry fetched_entry;
+  fetched_entry.tp = tp;
+  fetched_entry.next_offset = 301;
+  ps::ConsumedRecord record;
+  record.offset = 300;
+  record.key = "k";
+  record.value = "v";
+  record.timestamp = -300;
+  fetched_entry.records.push_back(record);
+  fetched.entries.push_back(fetched_entry);
+  cases.push_back(MakeCase("fetch_response", fetched, &EncodeFetchResponse,
+                           &DecodeFetchResponse));
+
+  cases.push_back(MakeCase("group_request", GroupRequest{"g", "t", 300},
+                           &EncodeGroupRequest, &DecodeGroupRequest));
+  cases.push_back(MakeCase("join_group_response", JoinGroupResponse{300},
+                           &EncodeJoinGroupResponse, &DecodeJoinGroupResponse));
+  cases.push_back(MakeCase("heartbeat_response", HeartbeatResponse{300, {tp}},
+                           &EncodeHeartbeatResponse, &DecodeHeartbeatResponse));
+
+  CommitOffsetRequest commit;
+  commit.group = "g";
+  commit.offsets.emplace_back(tp, 42);
+  cases.push_back(MakeCase("commit_offset_request", commit,
+                           &EncodeCommitOffsetRequest,
+                           &DecodeCommitOffsetRequest));
+  cases.push_back(MakeCase("offset_fetch_request", OffsetFetchRequest{"g", {tp}},
+                           &EncodeOffsetFetchRequest,
+                           &DecodeOffsetFetchRequest));
+  cases.push_back(MakeCase("offset_fetch_response",
+                           OffsetFetchResponse{{300, OffsetFetchResponse::kNone}},
+                           &EncodeOffsetFetchResponse,
+                           &DecodeOffsetFetchResponse));
+
+  ReplicaFetchRequest replica_fetch;
+  replica_fetch.follower = 2;
+  replica_fetch.epoch = 300;
+  replica_fetch.topic = "t";
+  replica_fetch.entries.push_back({1, 300, 512});
+  cases.push_back(MakeCase("replica_fetch_request", replica_fetch,
+                           &EncodeReplicaFetchRequest,
+                           &DecodeReplicaFetchRequest));
+  ReplicaFetchResponse replica_fetched;
+  replica_fetched.leader = 1;
+  replica_fetched.epoch = 300;
+  ReplicaFetchResponse::Entry replica_entry;
+  replica_entry.partition = 1;
+  replica_entry.base_offset = 300;
+  replica_entry.high_watermark = 299;
+  replica_entry.log_end = 301;
+  replica_entry.records.push_back(ps::Record{"k", "v", -300});
+  replica_fetched.entries.push_back(replica_entry);
+  cases.push_back(MakeCase("replica_fetch_response", replica_fetched,
+                           &EncodeReplicaFetchResponse,
+                           &DecodeReplicaFetchResponse));
+
+  ReplicaAckRequest ack;
+  ack.follower = 2;
+  ack.epoch = 300;
+  ack.topic = "t";
+  ack.entries.push_back({1, 300});
+  cases.push_back(MakeCase("replica_ack_request", ack, &EncodeReplicaAckRequest,
+                           &DecodeReplicaAckRequest));
+  ReplicaAckResponse acked;
+  acked.entries.push_back({1, 300});
+  cases.push_back(MakeCase("replica_ack_response", acked,
+                           &EncodeReplicaAckResponse,
+                           &DecodeReplicaAckResponse));
+
+  PromoteLeaderRequest promote;
+  promote.leader = 2;
+  promote.epoch = 300;
+  promote.topic = "t";
+  promote.entries.push_back({1, 300});
+  cases.push_back(MakeCase("promote_leader_request", promote,
+                           &EncodePromoteLeaderRequest,
+                           &DecodePromoteLeaderRequest));
+  PromoteLeaderResponse promoted;
+  promoted.entries.push_back({1, 300});
+  cases.push_back(MakeCase("promote_leader_response", promoted,
+                           &EncodePromoteLeaderResponse,
+                           &DecodePromoteLeaderResponse));
+
+  cases.push_back(MakeCase("cluster_meta_request", ClusterMetaRequest{"t"},
+                           &EncodeClusterMetaRequest,
+                           &DecodeClusterMetaRequest));
+  ClusterMetaResponse meta;
+  meta.brokers.push_back({1, "127.0.0.1", 9300});
+  meta.self = 1;
+  ClusterMetaResponse::Topic meta_topic;
+  meta_topic.topic = "t";
+  meta_topic.leader = 1;
+  meta_topic.epoch = 300;
+  meta_topic.isr = {1, 2};
+  meta_topic.partitions.push_back({301, 300});
+  meta.topics.push_back(meta_topic);
+  cases.push_back(MakeCase("cluster_meta_response", meta,
+                           &EncodeClusterMetaResponse,
+                           &DecodeClusterMetaResponse));
+
+  cases.push_back(MakeCase("hello_request", HelloRequest{}, &EncodeHelloRequest,
+                           &DecodeHelloRequest));
+  return cases;
+}
+
+TEST(Protocol, TruncatedBodiesAlwaysError) {
+  for (const BodyCase& c : AllBodyCodecs()) {
+    ASSERT_TRUE(c.decode(c.body).ok()) << c.name << ": full body must decode";
+    for (std::size_t len = 0; len < c.body.size(); ++len) {
+      EXPECT_FALSE(c.decode(std::string_view(c.body.data(), len)).ok())
+          << c.name << ": prefix of " << len << "/" << c.body.size()
+          << " bytes decoded";
+    }
+    EXPECT_FALSE(c.decode(c.body + "x").ok())
+        << c.name << ": trailing byte accepted";
   }
-  CommitOffsetRequest out;
-  EXPECT_FALSE(DecodeCommitOffsetRequest(body + "x", &out).ok());
+}
+
+/// Decode `body` with `decode` into a fresh message and return the capacity
+/// of the vector `field` selects.
+template <typename Msg, typename Field>
+std::size_t CapacityAfterDecode(std::string_view body,
+                                Status (*decode)(std::string_view, Msg*),
+                                Field Msg::*field) {
+  Msg out;
+  EXPECT_FALSE(decode(body, &out).ok());
+  return (out.*field).capacity();
+}
+
+// Regression: decoders used to reserve whatever element count the wire
+// claimed (up to 2^20), so a 3-byte body made the server allocate tens of
+// MiB before failing. Each element takes at least one byte, so a failed
+// decode of a count-only body must not reserve more elements than the body
+// has bytes.
+TEST(Protocol, ForgedCountsDoNotDriveAllocation) {
+  std::string body;
+  codec::PutVarint32(&body, 1u << 20);  // the count alone, 3 bytes
+  EXPECT_LE(CapacityAfterDecode(body, &DecodeFetchRequest,
+                                &FetchRequest::entries),
+            body.size());
+  EXPECT_LE(CapacityAfterDecode(body, &DecodeFetchResponse,
+                                &FetchResponse::entries),
+            body.size());
+  EXPECT_LE(CapacityAfterDecode(body, &DecodeMetadataResponse,
+                                &MetadataResponse::topics),
+            body.size());
+  EXPECT_LE(CapacityAfterDecode(body, &DecodeOffsetFetchResponse,
+                                &OffsetFetchResponse::offsets),
+            body.size());
+  EXPECT_LE(CapacityAfterDecode(body, &DecodeReplicaAckResponse,
+                                &ReplicaAckResponse::entries),
+            body.size());
+  EXPECT_LE(CapacityAfterDecode(body, &DecodePromoteLeaderResponse,
+                                &PromoteLeaderResponse::entries),
+            body.size());
+  EXPECT_LE(CapacityAfterDecode(body, &DecodeClusterMetaResponse,
+                                &ClusterMetaResponse::brokers),
+            body.size());
 }
 
 }  // namespace

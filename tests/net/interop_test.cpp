@@ -1,9 +1,8 @@
-// Protocol-downgrade and failure-surface interop tests:
+// Client/server interop and failure-surface tests:
 //
-//   * a current (v4) client against brokers pinned to older protocol
-//     versions — v2 (pre-correlation) and v3 (pre-replication) — must
-//     round-trip cleanly, with the repl-aware knobs (bootstrap routing,
-//     acks=quorum) degrading instead of breaking;
+//   * a server built with another protocol version refuses the client's
+//     Hello with an error naming both versions, and the client returns it
+//     without retrying;
 //   * pipelined correlated produces across a connection the server severs
 //     mid-stream (net.server.dispatch failpoint) must recover with
 //     at-least-once semantics and matching correlation ids;
@@ -12,10 +11,11 @@
 //     degrade -> acks keep flowing with the shard flagged in BrokerStats.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
-#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fs.hpp"
@@ -37,74 +37,82 @@ class InteropTest : public ::testing::Test {
   void TearDown() override { fault::DeactivateAll(); }
 };
 
-TEST_F(InteropTest, V4ClientRoundTripsAgainstV2Server) {
+// Every peer speaks exactly kProtocolVersion; there is no downgrade. A
+// broker from another build answers Hello with an application error, which
+// must reach the caller as a final server error: retrying or reconnecting
+// cannot change the peer's version.
+TEST_F(InteropTest, MismatchedHelloIsRefusedWithoutRetry) {
+  // The real server refuses a Hello claiming any other version.
   ps::Broker broker;
-  BrokerServerOptions options;
-  options.max_protocol_version = 2;  // emulate a pre-correlation build
-  BrokerServer server(&broker, options);
+  BrokerServer server(&broker);
   ASSERT_TRUE(server.Start().ok());
+  {
+    auto socket = Socket::Connect("127.0.0.1", server.port(), After(2s));
+    ASSERT_TRUE(socket.ok());
+    std::string body;
+    EncodeHelloRequest(HelloRequest{kProtocolVersion + 1}, &body);
+    std::string payload;
+    EncodeRequest(ApiKey::kHello, body, &payload);
+    ASSERT_TRUE(WriteFrame(&*socket, payload, After(5s)).ok());
+    std::string response;
+    ASSERT_TRUE(ReadFrame(&*socket, &response, After(5s)).ok());
+    std::string_view out;
+    const Status refused = DecodeResponse(response, &out);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+    EXPECT_EQ(refused.message(),
+              "protocol version mismatch: client speaks v" +
+                  std::to_string(kProtocolVersion + 1) + ", server speaks v" +
+                  std::to_string(kProtocolVersion));
+  }
+  server.Stop();
 
+  // A broker of another build, stood in for by a listener that answers
+  // every frame the way such a server answers this client's Hello.
+  auto listener = ListenSocket::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok());
+  const std::string mismatch = "protocol version mismatch: client speaks v" +
+                               std::to_string(kProtocolVersion) +
+                               ", server speaks v" +
+                               std::to_string(kProtocolVersion + 1);
+  std::atomic<int> hellos{0};
+  std::atomic<bool> done{false};
+  std::thread peer([&] {
+    while (!done.load()) {
+      auto conn = listener->Accept(After(50ms));
+      if (!conn.ok()) continue;
+      std::string request;
+      std::uint64_t correlation = 0;
+      while (ReadFrame(&*conn, &request, After(2s), nullptr, &correlation)
+                 .ok()) {
+        ApiKey api{};
+        std::string_view body;
+        EXPECT_TRUE(DecodeRequest(request, &api, &body).ok());
+        EXPECT_EQ(api, ApiKey::kHello);
+        hellos.fetch_add(1);
+        std::string response;
+        EncodeResponse(Status::InvalidArgument(mismatch), "", &response);
+        EXPECT_TRUE(
+            WriteFrame(&*conn, response, After(2s), {}, correlation).ok());
+      }
+    }
+  });
+
+  obs::MetricsRegistry registry;
   RemoteOptions remote;
-  remote.port = server.port();
+  remote.port = listener->port();
+  remote.metrics = &registry;
+  remote.backoff_initial = 1ms;
   RemoteBroker client(remote);
-  ASSERT_TRUE(client.CreateTopic("events", {.partitions = 1}).ok());
-  auto producer = client.NewProducer();
-  ASSERT_TRUE(producer.ok());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        (*producer)->Send("events", "k", "v" + std::to_string(i), 0).ok());
-  }
-  auto consumer = client.NewConsumer("events", {});
-  ASSERT_TRUE(consumer.ok());
-  auto records = (*consumer)->Poll(1s);
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 5u);
+  const Status created = client.CreateTopic("events", {.partitions = 1});
+  done.store(true);
+  peer.join();
 
-  // The negotiation really clamped: the connection speaks v2, not v4.
-  ClientConnection conn(remote);
-  std::string response;
-  MetadataRequest req;
-  req.topic = "events";
-  std::string body;
-  EncodeMetadataRequest(req, &body);
-  ASSERT_TRUE(conn.Call(ApiKey::kMetadata, body, &response).ok());
-  EXPECT_EQ(conn.server_version(), 2u);
-
-  server.Stop();
-}
-
-TEST_F(InteropTest, ReplAwareClientDegradesAgainstPreReplBroker) {
-  ps::Broker broker;
-  BrokerServerOptions options;
-  options.max_protocol_version = 3;  // pre-repl build: no v4, no repl keys
-  BrokerServer server(&broker, options);
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(broker.CreateTopic("events", {.partitions = 1}).ok());
-
-  // Fully repl-configured client: bootstrap list, quorum acks. Against a
-  // pre-repl broker the produce body downgrades to the legacy layout
-  // (leader acks) and the leader refresh degrades to "stay put".
-  RemoteOptions remote;
-  remote.bootstrap = {{"127.0.0.1", server.port()}};
-  remote.acks = ProduceAcks::kQuorum;
-  remote.cluster_refresh_backoff = 10ms;
-  RemoteProducer producer(remote);
-  for (int i = 0; i < 5; ++i) {
-    auto sent = producer.Send("events", "k", "v" + std::to_string(i), 0);
-    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
-  }
-  auto log = broker.GetLog("events", 0);
-  ASSERT_TRUE(log.ok());
-  EXPECT_EQ((*log)->EndOffset(), 5);
-
-  // The consumer side of the same configuration also just works.
-  auto consumer = RemoteConsumer::Create(remote, "events");
-  ASSERT_TRUE(consumer.ok());
-  auto records = (*consumer)->Poll(1s);
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 5u);
-
-  server.Stop();
+  EXPECT_EQ(created.code(), StatusCode::kInvalidArgument)
+      << created.ToString();
+  EXPECT_EQ(created.message(), "server: " + mismatch);
+  EXPECT_EQ(hellos.load(), 1) << "a refused Hello must not be retried";
+  EXPECT_EQ(registry.Snapshot().Value("net.client.retries").value_or(0), 0);
 }
 
 TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
@@ -116,14 +124,13 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
   constexpr int kPipelined = 8;
   const auto deadline = After(5s);
 
-  // Raw v4 connection with explicit correlation ids, so requests can be
+  // Raw connection with explicit correlation ids, so requests can be
   // pipelined and responses matched out of band of the client library.
   auto connect = [&]() -> Socket {
     auto socket = Socket::Connect("127.0.0.1", server.port(), After(2s));
     EXPECT_TRUE(socket.ok());
-    HelloRequest hello;
     std::string body;
-    EncodeHelloRequest(hello, &body);
+    EncodeHelloRequest(HelloRequest{}, &body);
     std::string payload;
     EncodeRequest(ApiKey::kHello, body, &payload);
     EXPECT_TRUE(WriteFrame(&*socket, payload, deadline).ok());
@@ -131,9 +138,6 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
     EXPECT_TRUE(ReadFrame(&*socket, &response, deadline).ok());
     std::string_view out;
     EXPECT_TRUE(DecodeResponse(response, &out).ok());
-    HelloResponse negotiated;
-    EXPECT_TRUE(DecodeHelloResponse(out, &negotiated).ok());
-    EXPECT_EQ(negotiated.version, kProtocolVersion);
     return std::move(*socket);
   };
 
@@ -146,7 +150,7 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
     std::string payload;
     EncodeRequest(ApiKey::kProduce, body, &payload);
     std::string frame;
-    EncodeFrameEx(payload, nullptr, &correlation, &frame);
+    EncodeFrame(payload, {}, correlation, &frame);
     return frame;
   };
 
@@ -173,13 +177,12 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
   ASSERT_TRUE(socket.WriteAll(burst, deadline).ok());
   std::set<std::uint64_t> answered;
   for (int i = 0; i < kPipelined; ++i) {
-    std::optional<std::uint64_t> correlation;
+    std::uint64_t correlation = 0;
     ASSERT_TRUE(ReadFrame(&socket, &response, deadline, nullptr, &correlation)
                     .ok());
     std::string_view out;
     ASSERT_TRUE(DecodeResponse(response, &out).ok());
-    ASSERT_TRUE(correlation.has_value());
-    answered.insert(*correlation);
+    answered.insert(correlation);
   }
   EXPECT_EQ(answered.size(), static_cast<std::size_t>(kPipelined));
 

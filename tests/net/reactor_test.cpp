@@ -1,5 +1,6 @@
-// Tests for the epoll reactor front-end: the EventLoop itself, request
-// pipelining with correlation ids, v1 interop, long-poll parking (and the
+// Tests for the epoll reactor front-end: the EventLoop itself, the Hello
+// version check, request pipelining with correlation ids, long-poll
+// parking (and the
 // regressions the reactor rewrite fixed: accept stalled behind joined
 // handler threads, long-polls spinning on below-retention offsets), and
 // connection churn under concurrency.
@@ -12,7 +13,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +38,7 @@ ps::Record MakeRecord(const std::string& key, const std::string& value) {
 
 /// Raw framed client speaking directly to the server socket, so tests can
 /// pipeline requests and observe per-frame correlation ids — things the
-/// strict request/response ClientConnection never does.
+/// one-request-at-a-time ClientConnection never does.
 struct RawClient {
   explicit RawClient(std::uint16_t port) {
     auto s = Socket::Connect("127.0.0.1", port, After(5s));
@@ -46,19 +46,17 @@ struct RawClient {
     socket = std::move(*s);
   }
 
-  /// Send one request frame, optionally tagged with a correlation id.
+  /// Send one request frame tagged with `correlation`.
   [[nodiscard]] Status Send(ApiKey api, const std::string& body,
-                            const std::uint64_t* correlation = nullptr) {
+                            std::uint64_t correlation = 0) {
     std::string payload;
     EncodeRequest(api, body, &payload);
-    return WriteFrame(&socket, payload, After(5s), nullptr, correlation);
+    return WriteFrame(&socket, payload, After(5s), {}, correlation);
   }
 
-  /// Read one response frame; fills the echoed correlation id (nullopt on
-  /// uncorrelated frames) and returns the transported Status with `*body`
-  /// set on Ok.
-  [[nodiscard]] Status Recv(std::string* body,
-                            std::optional<std::uint64_t>* correlation,
+  /// Read one response frame; fills the echoed correlation id and returns
+  /// the transported Status with `*body` set on Ok.
+  [[nodiscard]] Status Recv(std::string* body, std::uint64_t* correlation,
                             Deadline deadline) {
     std::string payload;
     if (Status s = ReadFrame(&socket, &payload, deadline, nullptr, correlation);
@@ -71,29 +69,27 @@ struct RawClient {
     return s;
   }
 
-  /// Strict request/response round trip (uncorrelated).
+  /// One request, then its response (matched by correlation id).
   [[nodiscard]] Status Call(ApiKey api, const std::string& body,
                             std::string* response) {
-    if (Status s = Send(api, body); !s.ok()) return s;
-    std::optional<std::uint64_t> correlation;
+    const std::uint64_t sent = ++next_correlation;
+    if (Status s = Send(api, body, sent); !s.ok()) return s;
+    std::uint64_t correlation = 0;
     Status s = Recv(response, &correlation, After(5s));
-    EXPECT_FALSE(correlation.has_value());
+    EXPECT_EQ(correlation, sent);
     return s;
   }
 
-  [[nodiscard]] std::uint32_t Hello(std::uint32_t max_version) {
-    HelloRequest req;
-    req.max_version = max_version;
+  /// Hello claiming `version`; the server's answer.
+  [[nodiscard]] Status Hello(std::uint32_t version) {
     std::string body;
-    EncodeHelloRequest(req, &body);
+    EncodeHelloRequest(HelloRequest{version}, &body);
     std::string resp;
-    if (!Call(ApiKey::kHello, body, &resp).ok()) return 0;
-    HelloResponse hello;
-    if (!DecodeHelloResponse(resp, &hello).ok()) return 0;
-    return hello.version;
+    return Call(ApiKey::kHello, body, &resp);
   }
 
   Socket socket;
+  std::uint64_t next_correlation = 0;
 };
 
 std::string FetchBody(const std::string& topic, std::int64_t offset,
@@ -182,7 +178,7 @@ TEST(EventLoop, TimersFireInDeadlineOrderAndCancel) {
   loop.Stop();
 }
 
-// --- Pipelining (protocol v3) ------------------------------------------------
+// --- Hello and pipelining ----------------------------------------------------
 
 struct TestServer {
   explicit TestServer(BrokerServerOptions options = {},
@@ -196,12 +192,25 @@ struct TestServer {
   BrokerServer server;
 };
 
+// Hello checks equality: the server's own version is accepted, any other
+// is refused with an error naming both, and nothing is negotiated down.
 TEST(Reactor, HelloNegotiatesPipeliningVersion) {
   TestServer ts;
   RawClient client(ts.server.port());
-  EXPECT_EQ(client.Hello(kProtocolVersion), kProtocolVersion);
+  EXPECT_TRUE(client.Hello(kProtocolVersion).ok());
+
   RawClient old_client(ts.server.port());
-  EXPECT_EQ(old_client.Hello(2), 2u);
+  const Status refused = old_client.Hello(kProtocolVersion - 1);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_NE(refused.message().find(
+                "client speaks v" + std::to_string(kProtocolVersion - 1)),
+            std::string::npos)
+      << refused.message();
+  EXPECT_NE(refused.message().find(
+                "server speaks v" + std::to_string(kProtocolVersion)),
+            std::string::npos)
+      << refused.message();
 }
 
 // The point of the reactor rewrite, end to end: a long-poll Fetch parked on
@@ -213,20 +222,20 @@ TEST(Reactor, ParkedFetchDoesNotBlockPipelinedProduce) {
   ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
 
   RawClient client(ts.server.port());
-  ASSERT_EQ(client.Hello(kProtocolVersion), kProtocolVersion);
+  ASSERT_TRUE(client.Hello(kProtocolVersion).ok());
 
   const std::uint64_t fetch_id = 7;
   const std::uint64_t produce_id = 9;
   ASSERT_TRUE(
-      client.Send(ApiKey::kFetch, FetchBody("t", 0, 2'000'000), &fetch_id)
+      client.Send(ApiKey::kFetch, FetchBody("t", 0, 2'000'000), fetch_id)
           .ok());
   ASSERT_TRUE(
-      client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v"), &produce_id)
+      client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v"), produce_id)
           .ok());
 
   // The produce response overtakes the parked fetch.
   std::string body;
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   ASSERT_TRUE(client.Recv(&body, &correlation, After(5s)).ok());
   ASSERT_EQ(correlation, produce_id);
   ProduceResponse produced;
@@ -241,54 +250,6 @@ TEST(Reactor, ParkedFetchDoesNotBlockPipelinedProduce) {
   ASSERT_EQ(fetched.entries.size(), 1u);
   ASSERT_EQ(fetched.entries[0].records.size(), 1u);
   EXPECT_EQ(fetched.entries[0].records[0].value, "v");
-}
-
-// Uncorrelated (v1/v2) pipelined requests keep strict request-order
-// responses even when an earlier one parks: the pipelined produce's
-// response queues behind the fetch's slot until the fetch completes.
-TEST(Reactor, UncorrelatedResponsesStayInRequestOrder) {
-  TestServer ts;
-  ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
-
-  RawClient client(ts.server.port());
-  ASSERT_TRUE(
-      client.Send(ApiKey::kFetch, FetchBody("t", 0, 2'000'000)).ok());
-  ASSERT_TRUE(client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v")).ok());
-
-  std::string body;
-  std::optional<std::uint64_t> correlation;
-  ASSERT_TRUE(client.Recv(&body, &correlation, After(5s)).ok());
-  EXPECT_FALSE(correlation.has_value());
-  FetchResponse fetched;  // first response answers the first request
-  ASSERT_TRUE(DecodeFetchResponse(body, &fetched).ok());
-  ASSERT_FALSE(fetched.empty());
-
-  ASSERT_TRUE(client.Recv(&body, &correlation, After(5s)).ok());
-  ProduceResponse produced;
-  ASSERT_TRUE(DecodeProduceResponse(body, &produced).ok());
-  EXPECT_EQ(produced.offset, 0);
-}
-
-// Acceptance: a v1 client (no Hello, plain frames) still interoperates.
-TEST(Reactor, V1ClientWithoutHelloInterops) {
-  TestServer ts;
-  RawClient client(ts.server.port());
-
-  CreateTopicRequest create;
-  create.topic = "t";
-  create.config = {.partitions = 1};
-  std::string body;
-  EncodeCreateTopic(create, &body);
-  std::string resp;
-  ASSERT_TRUE(client.Call(ApiKey::kCreateTopic, body, &resp).ok());
-  ASSERT_TRUE(
-      client.Call(ApiKey::kProduce, ProduceBody("t", "k", "v1"), &resp).ok());
-  ASSERT_TRUE(client.Call(ApiKey::kFetch, FetchBody("t", 0, 0), &resp).ok());
-  FetchResponse fetched;
-  ASSERT_TRUE(DecodeFetchResponse(resp, &fetched).ok());
-  ASSERT_EQ(fetched.entries.size(), 1u);
-  ASSERT_EQ(fetched.entries[0].records.size(), 1u);
-  EXPECT_EQ(fetched.entries[0].records[0].value, "v1");
 }
 
 // Regression (thread-per-connection bug): ReapFinishedLocked joined handler
@@ -322,7 +283,7 @@ TEST(Reactor, AcceptAndDispatchNotStalledBehindParkedLongPoll) {
   // The parked fetch still completes once its topic gets data.
   ASSERT_TRUE(ts.broker.Produce("t", MakeRecord("k", "woken")).ok());
   std::string body;
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   ASSERT_TRUE(parked.Recv(&body, &correlation, After(5s)).ok());
   FetchResponse fetched;
   ASSERT_TRUE(DecodeFetchResponse(body, &fetched).ok());
@@ -367,7 +328,7 @@ TEST(Reactor, ParkedFetchWaitsOnHealedOffsets) {
       client.Send(ApiKey::kFetch, FetchBody("t", 8, 3'000'000)).ok());
   std::this_thread::sleep_for(50ms);
   ASSERT_TRUE(ts.broker.Produce("t", MakeRecord("", "fresh")).ok());
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   ASSERT_TRUE(client.Recv(&resp, &correlation, After(5s)).ok());
   ASSERT_TRUE(DecodeFetchResponse(resp, &fetched).ok());
   ASSERT_FALSE(fetched.empty());
@@ -389,28 +350,28 @@ TEST(Reactor, SeveredConnectionCompletesParkedFetches) {
   ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
 
   RawClient client(ts.server.port());
-  ASSERT_EQ(client.Hello(kProtocolVersion), kProtocolVersion);
+  ASSERT_TRUE(client.Hello(kProtocolVersion).ok());
 
   const std::uint64_t fetch_id = 1;
   const std::uint64_t bad_id = 2;
   ASSERT_TRUE(
-      client.Send(ApiKey::kFetch, FetchBody("t", 0, 5'000'000), &fetch_id)
+      client.Send(ApiKey::kFetch, FetchBody("t", 0, 5'000'000), fetch_id)
           .ok());
   std::this_thread::sleep_for(50ms);
-  ASSERT_TRUE(client.Send(ApiKey::kProduce, "garbage", &bad_id).ok());
+  ASSERT_TRUE(client.Send(ApiKey::kProduce, "garbage", bad_id).ok());
 
   bool saw_fetch = false;
   bool saw_error = false;
   for (int i = 0; i < 2; ++i) {
     std::string body;
-    std::optional<std::uint64_t> correlation;
+    std::uint64_t correlation = 0;
     Status s = client.Recv(&body, &correlation, After(5s));
-    ASSERT_TRUE(correlation.has_value());
-    if (*correlation == fetch_id) {
+    ASSERT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
+    if (correlation == fetch_id) {
       ASSERT_TRUE(s.ok());
       saw_fetch = true;  // completed early (empty) instead of waiting 5s
     } else {
-      ASSERT_EQ(*correlation, bad_id);
+      ASSERT_EQ(correlation, bad_id);
       EXPECT_TRUE(s.IsCorruption());
       saw_error = true;
     }
@@ -420,7 +381,7 @@ TEST(Reactor, SeveredConnectionCompletesParkedFetches) {
 
   // ... and then the connection is gone.
   std::string body;
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   Status read = client.Recv(&body, &correlation, After(5s));
   EXPECT_FALSE(read.ok());
   EXPECT_FALSE(read.IsTimeout());
