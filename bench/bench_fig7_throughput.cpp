@@ -5,8 +5,8 @@
 //
 // As in the paper, input is replayed as fast as the offered rate allows:
 // frames are pre-generated once and replayed cyclically with monotonically
-// increasing layer numbers, so the pipeline (including both connectors)
-// processes a steady stream.
+// increasing layer numbers (a new job id every kJobLayers layers), so the
+// pipeline (including both connectors) processes a steady stream.
 //
 // Expected shape (paper): throughput grows linearly with the offered rate
 // until the query's capacity, then flattens while latency turns upward; the
@@ -19,6 +19,8 @@
 // `--trace-out <file>` additionally runs one traced trial after the sweep
 // (sampling 1/16) and writes a Chrome trace-event JSON for Perfetto, plus a
 // per-stage latency breakdown appended to the bench artifact.
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -32,6 +34,11 @@ using namespace strata::bench;  // NOLINT
 using namespace strata::core;   // NOLINT
 
 namespace {
+
+/// The paper job is 23 mm tall at 40 um layers. A replay longer than that
+/// starts the next job id instead of printing past the top of the specimens,
+/// where IsolateSpecimen drops every image.
+constexpr int kJobLayers = 575;
 
 struct FrameCache {
   am::BuildJobSpec job;
@@ -55,11 +62,21 @@ FrameCache BuildCache(int image_px, int frame_count) {
   return cache;
 }
 
+/// Closed-loop release: image i leaves once fewer than `size` images are
+/// in flight past the newest one the sink has a report for.
+struct ReplayWindow {
+  int size = 0;
+  /// 1 + replay index of the newest reported image (written by the sink).
+  std::atomic<int> reported{0};
+};
+
 /// Replays cached frames cyclically with increasing layer ids at `rate`
-/// images/s (<= 0: unthrottled), `count` images total.
-spe::SourceFn CachedOtSource(const FrameCache* cache, int count, double rate) {
+/// images/s (<= 0: unthrottled, or closed loop under `window`), `count`
+/// images total.
+spe::SourceFn CachedOtSource(const FrameCache* cache, int count, double rate,
+                             const ReplayWindow* window) {
   auto state = std::make_shared<std::pair<int, Timestamp>>(0, 0);
-  return [cache, count, rate, state]() -> std::optional<spe::Tuple> {
+  return [cache, count, rate, window, state]() -> std::optional<spe::Tuple> {
     if (state->first >= count) return std::nullopt;
     const int i = state->first++;
     if (rate > 0) {
@@ -67,10 +84,18 @@ spe::SourceFn CachedOtSource(const FrameCache* cache, int count, double rate) {
       if (state->second == 0) state->second = clock.Now();
       clock.SleepUntil(state->second +
                        static_cast<Timestamp>(i * 1e6 / rate));
+    } else if (window != nullptr) {
+      // A lost report would stall the loop, so after 1 s the image leaves
+      // anyway.
+      for (int polls = 0; polls < 10'000 &&
+                          i - window->reported.load() >= window->size;
+           ++polls) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
     }
     spe::Tuple t;
-    t.job = 1;
-    t.layer = i;
+    t.job = 1 + i / kJobLayers;
+    t.layer = i % kJobLayers;
     t.event_time = static_cast<Timestamp>(i + 1) * cache->period;
     t.payload.Set(kOtImageKey,
                   am::MakeImageValue(
@@ -86,8 +111,8 @@ spe::SourceFn CachedPpSource(const FrameCache* cache, int count) {
     if (*next >= count) return std::nullopt;
     const int i = (*next)++;
     spe::Tuple t;
-    t.job = 1;
-    t.layer = i;
+    t.job = 1 + i / kJobLayers;
+    t.layer = i % kJobLayers;
     t.event_time = static_cast<Timestamp>(i + 1) * cache->period;
     t.payload =
         cache->params[static_cast<std::size_t>(i) % cache->params.size()];
@@ -131,10 +156,13 @@ void PrintStageMetrics(const obs::MetricsSnapshot& snap) {
   std::printf("\n");
 }
 
+/// One replay of `images` images through the Algorithm-1 query. A
+/// `window` > 0 runs it closed loop (see ReplayWindow) instead of at `rate`.
 SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
                           int images,
                           std::int64_t checkpoint_interval_ms = 0,
-                          bool fusion = false, int parallelism = 2) {
+                          bool fusion = false, int parallelism = 2,
+                          int window = 0) {
   StrataOptions options;
   options.checkpoint_interval_ms = checkpoint_interval_ms;
   options.query.enable_fusion = fusion;
@@ -149,7 +177,11 @@ SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
       .OrDie();
 
   auto pp = strata_rt.AddSource("pp.m0", CachedPpSource(&cache, images));
-  auto ot = strata_rt.AddSource("ot.m0", CachedOtSource(&cache, images, rate));
+  ReplayWindow replay_window;
+  replay_window.size = window;
+  auto ot = strata_rt.AddSource(
+      "ot.m0", CachedOtSource(&cache, images, rate,
+                              window > 0 ? &replay_window : nullptr));
   auto fused = strata_rt.Fuse("fuse.m0", ot, pp);
   auto specimens = strata_rt.Partition("spec.m0", fused, IsolateSpecimen());
   auto cells = strata_rt.Partition("cell.m0", specimens, IsolateCell(cell_px),
@@ -160,7 +192,17 @@ SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
   auto reports =
       strata_rt.CorrelateEvents("cluster.m0", events, params.correlate_layers,
                                 DbscanCorrelator(params, cache.job.plate.PxPerMm()));
-  auto* sink = strata_rt.Deliver("expert.m0", reports, nullptr);
+  spe::SinkFn on_report;
+  if (window > 0) {
+    on_report = [&replay_window](const spe::Tuple& t) {
+      const int index =
+          static_cast<int>((t.job - 1) * kJobLayers + t.layer) + 1;
+      if (index > replay_window.reported.load()) {
+        replay_window.reported.store(index);  // the sink is the only writer
+      }
+    };
+  }
+  auto* sink = strata_rt.Deliver("expert.m0", reports, on_report);
 
   const Timestamp start = Clock::System().Now();
   strata_rt.Deploy();
@@ -192,53 +234,38 @@ SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
   return point;
 }
 
-/// Checkpointing on vs off: the same unthrottled replay, once without
-/// barriers and once with epoch-barrier checkpoints persisting to the
-/// kvstore. The delta is the steady-state cost of effectively-once
-/// (barrier alignment, operator snapshots, manifest writes); the
-/// acceptance bar is < 10% of fig7 throughput. The epoch cadence is
-/// scaled to the off-trial's wall time so every measurement averages
-/// over at least kMinEpochs completed epochs instead of a single
-/// noise-dominated one. Returns false when the retries still end below
+/// Checkpointing on vs off: the same replay, once without barriers and once
+/// with epoch-barrier checkpoints persisting to the kvstore. The delta is
+/// the steady-state cost of effectively-once (barrier alignment, operator
+/// snapshots, manifest writes); the acceptance bar is < 10% of fig7
+/// throughput.
+///
+/// Both runs are closed loop: a window of kWindow images in flight keeps the
+/// pipeline saturated, so kcells/s measures its capacity, while bounding
+/// what queues up ahead of a barrier. An unthrottled replay would instead
+/// fill every stream (queue_capacity tuples each) with some two thousand
+/// images, so an epoch would take seconds and a run would need ~16k images
+/// for ten of them. Returns false when the checkpointed run ends below
 /// kMinEpochs: the row is written, but the overhead it reports is not the
 /// measurement this scenario promises.
 bool RunCheckpointOverhead(const FrameCache& cache, int image_px,
                            JsonLinesWriter* out) {
   constexpr std::uint64_t kMinEpochs = 5;
+  constexpr int kWindow = 32;
+  constexpr int kImages = 1024;
+  constexpr std::int64_t kIntervalMs = 100;
   const int cell_px = std::max(1, 20 * image_px / 2000);
-  const int images = 128;
-  SweepPoint off =
-      RunReplayTrial(cache, cell_px, /*rate=*/0, images);
-  const double off_wall_ms =
-      off.achieved_images_s > 0 ? images / off.achieved_images_s * 1000.0
-                                : 1000.0;
-  std::int64_t interval_ms = static_cast<std::int64_t>(
-      std::clamp(off_wall_ms / (kMinEpochs + 3.0), 25.0, 250.0));
-  std::printf("--- checkpoint overhead (cell 20x20, unthrottled, %lld ms "
-              "interval) ---\n",
-              static_cast<long long>(interval_ms));
-  SweepPoint on =
-      RunReplayTrial(cache, cell_px, /*rate=*/0, images, interval_ms);
-  int trial_images = images;
-  // Near saturation the epoch rate is limited by barrier traversal of the
-  // backlogged pipeline, not by the cadence, so a tighter interval alone
-  // does not help: lengthen the run until the mean covers enough epochs,
-  // then re-measure the off baseline once at the same length.
-  for (int attempt = 0;
-       attempt < 2 && on.epochs_completed < kMinEpochs; ++attempt) {
-    interval_ms = std::max<std::int64_t>(25, interval_ms / 4);
-    trial_images *= 4;
-    std::printf("    only %llu epochs; retrying with %d images at %lld ms\n",
-                static_cast<unsigned long long>(on.epochs_completed),
-                trial_images, static_cast<long long>(interval_ms));
-    on = RunReplayTrial(cache, cell_px, /*rate=*/0, trial_images,
-                        interval_ms);
-  }
-  if (trial_images != images) {
-    off = RunReplayTrial(cache, cell_px, /*rate=*/0, trial_images);
-  }
+  std::printf("--- checkpoint overhead (cell 20x20, closed loop of %d, %d "
+              "images, %lld ms interval) ---\n",
+              kWindow, kImages, static_cast<long long>(kIntervalMs));
+  auto trial = [&](std::int64_t interval_ms) {
+    return RunReplayTrial(cache, cell_px, /*rate=*/0, kImages, interval_ms,
+                          /*fusion=*/false, /*parallelism=*/2, kWindow);
+  };
+  const SweepPoint off = trial(0);
+  const SweepPoint on = trial(kIntervalMs);
   const double on_wall_ms =
-      on.achieved_images_s > 0 ? trial_images / on.achieved_images_s * 1000.0
+      on.achieved_images_s > 0 ? kImages / on.achieved_images_s * 1000.0
                                : 0.0;
   const double epoch_mean_ms =
       on.epochs_completed > 0 ? on_wall_ms / on.epochs_completed : 0.0;
@@ -255,7 +282,7 @@ bool RunCheckpointOverhead(const FrameCache& cache, int image_px,
                 .Str("bench", "bench_fig7_throughput")
                 .Str("kind", "checkpoint_overhead")
                 .Int("image_px", image_px)
-                .Int("checkpoint_interval_ms", interval_ms)
+                .Int("checkpoint_interval_ms", kIntervalMs)
                 .Num("kcells_s_off", off.kcells_s)
                 .Num("kcells_s_on", on.kcells_s)
                 .Num("overhead_pct", overhead_pct)

@@ -28,6 +28,7 @@
 
 #include "common/clock.hpp"
 #include "common/histogram.hpp"
+#include "obs/trace.hpp"
 #include "spe/batch.hpp"
 #include "spe/functions.hpp"
 #include "spe/stream.hpp"
@@ -248,11 +249,66 @@ class Operator {
     NotifyFinished();
   }
 
+  /// Does nothing; the default end-of-batch step of DrainInput.
+  struct NoBatchHook {
+    void operator()() const noexcept {}
+  };
+
+  /// The drain loop every single-input operator runs. Per batch popped from
+  /// inputs_[0]: open the batch span, complete barriers in stream order,
+  /// hand each data tuple to `on_tuple(tuple, span)` and count it in
+  /// tuples_in, run `on_batch_end()`, then apply the flush policy. Stops
+  /// early when on_tuple returns false or every output has been observed
+  /// closed, and then closes the inputs so upstream producers see Closed
+  /// instead of blocking on back-pressure. Returns true when the input
+  /// drained, false on early exit.
+  template <typename OnTuple, typename OnBatchEnd = NoBatchHook>
+  bool DrainInput(const char* category, OnTuple&& on_tuple,
+                  OnBatchEnd on_batch_end = {}) {
+    bool open = true;
+    while (open) {
+      auto batch = inputs_[0]->PopBatch(batch_size_);
+      if (!batch.has_value()) break;  // input closed and drained
+      obs::SpanScope span = BatchSpan(category, *batch);
+      std::size_t data = 0;
+      for (Tuple& tuple : *batch) {
+        if (tuple.IsBarrier()) {
+          CompleteBarrier(tuple.barrier_epoch);
+          continue;
+        }
+        ++data;
+        if (!(open = on_tuple(tuple, span))) break;
+      }
+      CountIn(data);
+      on_batch_end();
+      if (AllOutputsClosed()) open = false;
+      // A sink has nothing to flush.
+      if (open && !outputs_.empty()) MaybeFlush(inputs_[0]->depth() == 0);
+    }
+    if (!open) CloseInputs();
+    return open;
+  }
+
+  /// The drain loop of a multi-input operator (Union, Join): polls every
+  /// input, aligns epoch barriers across them (see BarrierAligner) and hands
+  /// each data tuple to `on_tuple(input_index, tuple, span)`, counting it in
+  /// tuples_in. Same early-exit rule and return value as DrainInput.
+  /// Defined in operator.cpp, next to the fan-in operators that use it.
+  template <typename OnTuple>
+  bool DrainAligned(const char* category, OnTuple&& on_tuple);
+
+  /// Span covering one drained batch: active iff tracing is on and the
+  /// batch carries a sampled tuple (the batch's trace is its first sampled
+  /// tuple's context — see tuple.hpp). Named after this operator.
+  [[nodiscard]] obs::SpanScope BatchSpan(const char* category,
+                                         const TupleBatch& batch) const;
+
   /// A barrier for `epoch` has drained past this operator: flush the emit
-  /// buffers (no partial batch may straddle an epoch), snapshot state,
-  /// report to the checkpointer, and forward the barrier to every open
-  /// output. No-op data-plane-wise when no checkpointer is wired (the
-  /// barrier is still forwarded so downstream operators see it).
+  /// buffers (no partial batch may straddle an epoch), snapshot every
+  /// checkpoint identity, report to the checkpointer, and forward the
+  /// barrier to every open output. No-op data-plane-wise when no
+  /// checkpointer is wired (the barrier is still forwarded so downstream
+  /// operators see it).
   void CompleteBarrier(std::uint64_t epoch);
 
   /// Broadcast Tuple::Barrier(epoch) to every open output — including all
@@ -298,10 +354,14 @@ class Operator {
 
  private:
   void LogUserError(const char* what);
-  /// Called exactly once from CloseOutputs as the Run() body exits. The
-  /// default reports this operator finished to the checkpointer; a fused
-  /// worker overrides it to report its absorbed constituents instead.
-  virtual void NotifyFinished();
+  /// The logical operators this thread snapshots and finishes for: itself,
+  /// or a fused worker's absorbed stages, each under its registered name.
+  [[nodiscard]] virtual std::vector<Operator*> CheckpointIdentities() {
+    return {this};
+  }
+  /// Called exactly once from CloseOutputs as the Run() body exits: reports
+  /// every checkpoint identity finished to the checkpointer.
+  void NotifyFinished();
 
   void EnsureEmitState() {
     if (emit_ready_) return;

@@ -16,21 +16,6 @@ namespace strata::spe {
 
 namespace {
 
-/// Span covering one drained batch through the whole fused chain. The span
-/// NAME is the fused operator's name — the constituent operator names joined
-/// with '+' — so /tracez shows which logical stages ran, not an opaque node.
-obs::SpanScope FusedBatchSpan(const std::string& name,
-                              const TupleBatch& batch) {
-  if (!obs::TracingEnabled()) return {};
-  for (const Tuple& tuple : batch) {
-    if (tuple.trace.sampled()) {
-      return obs::SpanScope(name.c_str(), "spe.fused", tuple.trace,
-                            batch.size());
-    }
-  }
-  return {};
-}
-
 /// Per-stage counters accumulated locally while a batch runs the chain and
 /// flushed into the constituent operators' atomics once per drained batch.
 struct StageCounts {
@@ -71,111 +56,85 @@ void FusedOperator::Run() {
     }
   };
 
+  // The batch span is named after the fused operator — the constituent
+  // names joined with '+' — so /tracez shows which logical stages ran.
   TupleBatch cur;
   TupleBatch next;
-  bool open = true;
-  while (open) {
-    auto batch = inputs_[0]->PopBatch(batch_size());
-    if (!batch.has_value()) break;  // input closed and drained
-    obs::SpanScope span = FusedBatchSpan(name(), *batch);
-    for (Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        CompleteChainBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      cur.clear();
-      cur.push_back(std::move(tuple));
-      for (std::size_t s = 0; s < stages_.size() && !cur.empty(); ++s) {
-        const Stage& stage = stages_[s];
-        counts[s].in += cur.size();
-        next.clear();
-        for (Tuple& t : cur) {
-          if (stage.flatmap != nullptr) {
+  DrainInput(
+      "spe.fused",
+      [&](Tuple& tuple, const obs::SpanScope& span) {
+        cur.clear();
+        cur.push_back(std::move(tuple));
+        for (std::size_t s = 0; s < stages_.size() && !cur.empty(); ++s) {
+          const Stage& stage = stages_[s];
+          counts[s].in += cur.size();
+          next.clear();
+          for (Tuple& t : cur) {
             try {
-              std::vector<Tuple> results = (*stage.flatmap)(t);
-              for (Tuple& out : results) {
-                if (out.stimulus == 0) out.stimulus = t.stimulus;
-                next.push_back(std::move(out));
+              if (stage.flatmap != nullptr) {
+                for (Tuple& out : (*stage.flatmap)(t)) {
+                  if (out.stimulus == 0) out.stimulus = t.stimulus;
+                  next.push_back(std::move(out));
+                }
+              } else if ((*stage.filter)(t)) {
+                next.push_back(std::move(t));
               }
             } catch (const std::exception& e) {
               ++counts[s].errors;
               LOG_ERROR << "operator '" << stage.op->name()
                         << "' (fused): user function threw: " << e.what();
             }
-          } else {
-            bool keep = false;
-            try {
-              keep = (*stage.filter)(t);
-            } catch (const std::exception& e) {
-              ++counts[s].errors;
-              LOG_ERROR << "operator '" << stage.op->name()
-                        << "' (fused): user function threw: " << e.what();
-            }
-            if (keep) next.push_back(std::move(t));
           }
+          counts[s].out += next.size();
+          cur.swap(next);
         }
-        counts[s].out += next.size();
-        cur.swap(next);
-      }
-      for (Tuple& out : cur) {
-        if (span.active()) out.trace = span.EmitContext();
-        if (!(open = Emit(std::move(out)))) break;
-      }
-      if (!open) break;
-    }
-    flush_counts();
-    if (open) MaybeFlush(inputs_[0]->depth() == 0);
-  }
-  if (!open) CloseInputs();  // early exit: downstream consumers are gone
+        for (Tuple& out : cur) {
+          if (span.active()) out.trace = span.EmitContext();
+          if (!Emit(std::move(out))) return false;
+        }
+        return true;
+      },
+      flush_counts);
   CloseOutputs();
 }
 
-void FusedOperator::CompleteChainBarrier(std::uint64_t epoch) {
-  FlushEmit();  // no partial batch may straddle the epoch boundary
-  if (Checkpointer* cp = checkpointer(); cp != nullptr) {
-    // One snapshot per constituent, under its registered name — a manifest
-    // written by a fused plan restores into an unfused one and vice versa.
-    for (const Stage& stage : stages_) {
-      std::string blob;
-      const Status snapshot = stage.op->SnapshotState(epoch, &blob);
-      if (snapshot.ok()) {
-        cp->ReportSnapshot(stage.op->name(), epoch, std::move(blob));
-      } else {
-        cp->ReportSnapshotFailure(stage.op->name(), epoch, snapshot);
-      }
-    }
-  }
-  ForwardBarrier(epoch);
-}
-
-void FusedOperator::NotifyFinished() {
+std::vector<Operator*> FusedOperator::CheckpointIdentities() {
   // The constituents are what the checkpointer knows about; the fused
   // worker itself is never registered.
-  if (Checkpointer* cp = checkpointer(); cp != nullptr) {
-    for (const Stage& stage : stages_) {
-      cp->OnOperatorFinished(stage.op->name());
-    }
-  }
+  std::vector<Operator*> ops;
+  ops.reserve(stages_.size());
+  for (const Stage& stage : stages_) ops.push_back(stage.op);
+  return ops;
 }
 
 // ------------------------------------------------------ FuseStatelessChains
 
+std::unordered_map<Stream*, StreamEndpoints> CountStreamEndpoints(
+    const std::vector<std::unique_ptr<Operator>>& operators) {
+  std::unordered_map<Stream*, StreamEndpoints> census;
+  for (const auto& op : operators) {
+    const std::string_view kind = op->kind();
+    const bool plumbing = kind == "router" || kind == "union";
+    for (const StreamPtr& out : op->outputs()) {
+      StreamEndpoints& ends = census[out.get()];
+      ++ends.producers;
+      ends.plumbing |= plumbing;
+    }
+    for (const StreamPtr& in : op->inputs()) {
+      StreamEndpoints& ends = census[in.get()];
+      ++ends.consumers;
+      ends.plumbing |= plumbing;
+    }
+  }
+  return census;
+}
+
 FusionPlan FuseStatelessChains(
     const std::vector<std::unique_ptr<Operator>>& operators,
     const Clock* clock) {
-  // Endpoint census over the whole plan: a fusable link must be a private
-  // stream (exactly one registered producer and consumer). Streams pushed
-  // from outside the query have an unregistered endpoint the census cannot
-  // see — same assumption the SPSC fast-path pass already makes.
-  std::map<const Stream*, std::pair<int, int>> endpoint_count;
-  for (const auto& op : operators) {
-    for (const StreamPtr& out : op->outputs()) {
-      ++endpoint_count[out.get()].first;
-    }
-    for (const StreamPtr& in : op->inputs()) {
-      ++endpoint_count[in.get()].second;
-    }
-  }
+  // A fusable link must be a private stream: exactly one registered
+  // producer and one registered consumer.
+  const auto census = CountStreamEndpoints(operators);
 
   // Eligible members: stateless 1-input/1-output operators. (A Split is a
   // FlatMap with N outputs and drops out on the output-count rule.)
@@ -207,8 +166,8 @@ FusionPlan FuseStatelessChains(
   std::unordered_set<Operator*> has_prev;
   for (const auto& [op, stage] : members) {
     const Stream* out = op->outputs()[0].get();
-    const auto count = endpoint_count[out];
-    if (count.first != 1 || count.second != 1) continue;
+    const StreamEndpoints& ends = census.at(op->outputs()[0].get());
+    if (ends.producers != 1 || ends.consumers != 1) continue;
     const auto it = consumer_of.find(out);
     if (it == consumer_of.end() || it->second == op) continue;
     next[op] = it->second;

@@ -35,6 +35,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "spe/operator.hpp"
@@ -66,15 +67,28 @@ class FusedOperator final : public Operator {
   }
 
  private:
-  /// Barrier drained past the fused chain: flush the chain as a unit,
-  /// snapshot every constituent under its own registered name, forward the
-  /// barrier once.
-  void CompleteChainBarrier(std::uint64_t epoch);
-  /// The chain finished: every constituent is done for checkpoint purposes.
-  void NotifyFinished() override;
+  /// Barriers and the end of the chain are reported once per absorbed
+  /// constituent, under its own registered name.
+  [[nodiscard]] std::vector<Operator*> CheckpointIdentities() override;
 
   std::vector<Stage> stages_;
 };
+
+/// The operators registered at one stream's two ends.
+struct StreamEndpoints {
+  int producers = 0;
+  int consumers = 0;
+  /// A router or union is one of them.
+  bool plumbing = false;
+};
+
+/// Endpoint census of every stream `operators` read or write. A stream
+/// pushed or popped from outside the query has an endpoint the census cannot
+/// see, so "one producer, one consumer" means private only for streams the
+/// query built. Query::Start uses it to pick the SPSC transport and the
+/// fusion pass to find private links.
+[[nodiscard]] std::unordered_map<Stream*, StreamEndpoints> CountStreamEndpoints(
+    const std::vector<std::unique_ptr<Operator>>& operators);
 
 /// Result of the fusion pass: the fused workers to run instead of the
 /// absorbed originals.

@@ -1,7 +1,6 @@
 #include "spe/query.hpp"
 
 #include <map>
-#include <string_view>
 
 #include "common/logging.hpp"
 #include "spe/plan_rewrite.hpp"
@@ -61,37 +60,42 @@ StreamPtr Query::AddBatchSource(const std::string& name, BatchSourceFn fn) {
   return out;
 }
 
-StreamPtr Query::AddFlatMap(const std::string& name, StreamPtr in,
-                            FlatMapFn fn, int parallelism, KeyFn shard_key) {
-  if (parallelism < 1) {
-    throw std::invalid_argument("Query: parallelism must be >= 1");
-  }
-  Consume(in);
-  if (parallelism == 1) {
-    auto* op =
-        NewOperator<FlatMapOperator>(name, options_.clock, std::move(fn));
-    op->AddInput(std::move(in));
+StreamPtr Query::AddKeyedStage(const std::string& name,
+                               std::vector<StreamPtr> ins,
+                               std::vector<KeyFn> keys, int n,
+                               const NewWorkerFn& new_worker) {
+  if (n == 1) {
+    Operator* worker = new_worker(name);
+    for (StreamPtr& in : ins) worker->AddInput(std::move(in));
     StreamPtr out = NewStream(name + ".out");
-    op->AddOutput(out);
+    worker->AddOutput(out);
     return out;
   }
-
-  if (!shard_key) {
-    throw std::invalid_argument(
-        "Query: parallel FlatMap requires a shard_key");
+  // One router per input, keyed by that input's key, so tuples that agree
+  // on key (a join's matching pair) land on the same shard. A worker's
+  // inputs keep the order of `ins`, which is a join's [L, R] side order.
+  static const char* const kSides[] = {".left", ".right"};
+  const bool sided = ins.size() > 1;
+  std::vector<RouterOperator*> routers;
+  for (std::size_t s = 0; s < ins.size(); ++s) {
+    auto* router = NewOperator<RouterOperator>(
+        name + ".router" + (sided ? kSides[s] : ""), options_.clock,
+        std::move(keys[s]));
+    router->AddInput(std::move(ins[s]));
+    routers.push_back(router);
   }
-  auto* router = NewOperator<RouterOperator>(name + ".router", options_.clock,
-                                             std::move(shard_key));
-  router->AddInput(std::move(in));
   auto* merger = NewOperator<UnionOperator>(name + ".union", options_.clock);
-  for (int i = 0; i < parallelism; ++i) {
-    StreamPtr shard_in = NewStream(name + ".shard" + std::to_string(i));
-    router->AddOutput(shard_in);
-    auto* worker = NewOperator<FlatMapOperator>(
-        name + "[" + std::to_string(i) + "]", options_.clock, fn);
-    worker->AddInput(shard_in);
-    consumed_.insert(shard_in.get());
-    StreamPtr shard_out = NewStream(name + ".shard" + std::to_string(i) + ".out");
+  for (int i = 0; i < n; ++i) {
+    const std::string index = std::to_string(i);
+    Operator* worker = new_worker(name + "[" + index + "]");
+    for (std::size_t s = 0; s < routers.size(); ++s) {
+      StreamPtr shard_in =
+          NewStream(name + (sided ? kSides[s] : ".shard") + index);
+      routers[s]->AddOutput(shard_in);
+      worker->AddInput(shard_in);
+      consumed_.insert(shard_in.get());
+    }
+    StreamPtr shard_out = NewStream(name + ".shard" + index + ".out");
     worker->AddOutput(shard_out);
     merger->AddInput(shard_out);
     consumed_.insert(shard_out.get());
@@ -99,6 +103,23 @@ StreamPtr Query::AddFlatMap(const std::string& name, StreamPtr in,
   StreamPtr out = NewStream(name + ".out");
   merger->AddOutput(out);
   return out;
+}
+
+StreamPtr Query::AddFlatMap(const std::string& name, StreamPtr in,
+                            FlatMapFn fn, int parallelism, KeyFn shard_key) {
+  if (parallelism < 1) {
+    throw std::invalid_argument("Query: parallelism must be >= 1");
+  }
+  Consume(in);
+  if (parallelism > 1 && !shard_key) {
+    throw std::invalid_argument(
+        "Query: parallel FlatMap requires a shard_key");
+  }
+  return AddKeyedStage(name, {std::move(in)}, {std::move(shard_key)},
+                       parallelism, [&](const std::string& worker) {
+                         return NewOperator<FlatMapOperator>(
+                             worker, options_.clock, fn);
+                       });
 }
 
 StreamPtr Query::AddFilter(const std::string& name, StreamPtr in,
@@ -119,39 +140,15 @@ StreamPtr Query::AddAggregate(const std::string& name, StreamPtr in,
     std::lock_guard lock(build_mu_);
     shard_groups_.push_back({name, /*is_join=*/false, shards});
   }
-  if (shards == 1) {
-    auto* op =
-        NewOperator<AggregateOperator>(name, options_.clock, std::move(spec));
-    op->AddInput(std::move(in));
-    StreamPtr out = NewStream(name + ".out");
-    op->AddOutput(out);
-    return out;
-  }
-
-  if (!spec.key) {
+  if (shards > 1 && !spec.key) {
     throw std::invalid_argument(
         "Query: sharded Aggregate requires a group-by key");
   }
-  auto* router = NewOperator<RouterOperator>(name + ".router", options_.clock,
-                                             spec.key);
-  router->AddInput(std::move(in));
-  auto* merger = NewOperator<UnionOperator>(name + ".union", options_.clock);
-  for (int i = 0; i < shards; ++i) {
-    StreamPtr shard_in = NewStream(name + ".shard" + std::to_string(i));
-    router->AddOutput(shard_in);
-    auto* worker = NewOperator<AggregateOperator>(
-        name + "[" + std::to_string(i) + "]", options_.clock, spec);
-    worker->AddInput(shard_in);
-    consumed_.insert(shard_in.get());
-    StreamPtr shard_out =
-        NewStream(name + ".shard" + std::to_string(i) + ".out");
-    worker->AddOutput(shard_out);
-    merger->AddInput(shard_out);
-    consumed_.insert(shard_out.get());
-  }
-  StreamPtr out = NewStream(name + ".out");
-  merger->AddOutput(out);
-  return out;
+  return AddKeyedStage(name, {std::move(in)}, {spec.key}, shards,
+                       [&](const std::string& worker) {
+                         return NewOperator<AggregateOperator>(
+                             worker, options_.clock, spec);
+                       });
 }
 
 StreamPtr Query::AddJoin(const std::string& name, StreamPtr left,
@@ -163,50 +160,16 @@ StreamPtr Query::AddJoin(const std::string& name, StreamPtr left,
     std::lock_guard lock(build_mu_);
     shard_groups_.push_back({name, /*is_join=*/true, shards});
   }
-  if (shards == 1) {
-    auto* op = NewOperator<JoinOperator>(name, options_.clock, std::move(spec));
-    op->AddInput(std::move(left));
-    op->AddInput(std::move(right));
-    StreamPtr out = NewStream(name + ".out");
-    op->AddOutput(out);
-    return out;
-  }
-
-  if (!spec.key_left || !spec.key_right) {
+  if (shards > 1 && (!spec.key_left || !spec.key_right)) {
     throw std::invalid_argument(
         "Query: sharded Join requires key_left and key_right");
   }
-  // Each side gets its own router keyed by its side's group-by key, so a
-  // matching pair (which must agree on key) lands on the same shard.
-  auto* left_router = NewOperator<RouterOperator>(name + ".router.left",
-                                                  options_.clock,
-                                                  spec.key_left);
-  left_router->AddInput(std::move(left));
-  auto* right_router = NewOperator<RouterOperator>(name + ".router.right",
-                                                   options_.clock,
-                                                   spec.key_right);
-  right_router->AddInput(std::move(right));
-  auto* merger = NewOperator<UnionOperator>(name + ".union", options_.clock);
-  for (int i = 0; i < shards; ++i) {
-    StreamPtr left_in = NewStream(name + ".left" + std::to_string(i));
-    left_router->AddOutput(left_in);
-    StreamPtr right_in = NewStream(name + ".right" + std::to_string(i));
-    right_router->AddOutput(right_in);
-    auto* worker = NewOperator<JoinOperator>(
-        name + "[" + std::to_string(i) + "]", options_.clock, spec);
-    worker->AddInput(left_in);  // input order is the [L, R] side order
-    worker->AddInput(right_in);
-    consumed_.insert(left_in.get());
-    consumed_.insert(right_in.get());
-    StreamPtr shard_out =
-        NewStream(name + ".shard" + std::to_string(i) + ".out");
-    worker->AddOutput(shard_out);
-    merger->AddInput(shard_out);
-    consumed_.insert(shard_out.get());
-  }
-  StreamPtr out = NewStream(name + ".out");
-  merger->AddOutput(out);
-  return out;
+  return AddKeyedStage(name, {std::move(left), std::move(right)},
+                       {spec.key_left, spec.key_right}, shards,
+                       [&](const std::string& worker) {
+                         return NewOperator<JoinOperator>(
+                             worker, options_.clock, spec);
+                       });
 }
 
 StreamPtr Query::AddUnion(const std::string& name,
@@ -277,13 +240,7 @@ Status Query::Recover() {
   }
   for (const OperatorSnapshot& snapshot : manifest->operators) {
     if (resharded.find(snapshot.name) != resharded.end()) continue;
-    Operator* op = nullptr;
-    for (const auto& candidate : operators_) {
-      if (candidate->name() == snapshot.name) {
-        op = candidate.get();
-        break;
-      }
-    }
+    Operator* op = FindOperatorLocked(snapshot.name);
     if (op == nullptr) {
       LOG_WARN << "checkpoint epoch " << manifest->epoch
                << ": no operator named '" << snapshot.name
@@ -328,13 +285,7 @@ Status Query::RestoreShardGroup(const ShardGroup& group,
   // per instance. The plain by-name loop handles that exactly; the re-hash
   // path is only for mismatched shard counts.
   std::unordered_set<std::string> expected;
-  if (group.shards == 1) {
-    expected.insert(group.base);
-  } else {
-    for (int i = 0; i < group.shards; ++i) {
-      expected.insert(group.base + "[" + std::to_string(i) + "]");
-    }
-  }
+  for (int i = 0; i < group.shards; ++i) expected.insert(group.instance(i));
   if (found.size() == expected.size()) {
     bool exact = true;
     for (const OperatorSnapshot* snapshot : found) {
@@ -364,16 +315,8 @@ Status Query::RestoreShardGroup(const ShardGroup& group,
                   "shard group '" + group.base + "': " + resharded.message());
   }
   for (int i = 0; i < group.shards; ++i) {
-    const std::string name =
-        group.shards == 1 ? group.base
-                          : group.base + "[" + std::to_string(i) + "]";
-    Operator* op = nullptr;
-    for (const auto& candidate : operators_) {
-      if (candidate->name() == name) {
-        op = candidate.get();
-        break;
-      }
-    }
+    const std::string name = group.instance(i);
+    Operator* op = FindOperatorLocked(name);
     if (op == nullptr) {
       return Status::InvalidArgument("shard group '" + group.base +
                                      "': missing instance '" + name + "'");
@@ -387,6 +330,10 @@ Status Query::RestoreShardGroup(const ShardGroup& group,
 
 Operator* Query::FindOperator(const std::string& name) {
   std::lock_guard lock(build_mu_);
+  return FindOperatorLocked(name);
+}
+
+Operator* Query::FindOperatorLocked(const std::string& name) const {
   for (const auto& op : operators_) {
     if (op->name() == name) return op.get();
   }
@@ -419,7 +366,7 @@ void Query::Start() {
       if (checkpointer_) op->SetCheckpointer(checkpointer_.get());
     }
   }
-  if (options_.enable_spsc) EnableSpscFastPaths();
+  EnableSpscFastPaths();
   threads_.reserve(operators_.size() + fused_.size());
   for (auto& op : operators_) {
     if (absorbed.find(op.get()) != absorbed.end()) continue;
@@ -432,31 +379,11 @@ void Query::Start() {
 }
 
 void Query::EnableSpscFastPaths() {
-  // A stream is SPSC-eligible when exactly one registered operator produces
-  // into it and exactly one consumes from it, and neither endpoint is
-  // router/union plumbing (those stay on the MPMC queue). Streams pushed or
-  // popped from outside the query have an unregistered endpoint and never
-  // qualify. Runs single-threaded before operator threads spawn.
-  std::map<const Stream*, std::pair<int, int>> endpoint_count;  // {prod, cons}
-  std::map<const Stream*, bool> plumbing;
-  for (const auto& op : operators_) {
-    const std::string_view kind = op->kind();
-    const bool is_plumbing = kind == "router" || kind == "union";
-    for (const StreamPtr& out : op->outputs()) {
-      ++endpoint_count[out.get()].first;
-      if (is_plumbing) plumbing[out.get()] = true;
-    }
-    for (const StreamPtr& in : op->inputs()) {
-      ++endpoint_count[in.get()].second;
-      if (is_plumbing) plumbing[in.get()] = true;
-    }
-  }
+  // The metrics callback reads stream depths under build_mu_, and switching
+  // transports frees the MPMC queue.
   std::lock_guard lock(build_mu_);
-  for (const StreamPtr& stream : streams_) {
-    const auto it = endpoint_count.find(stream.get());
-    if (it == endpoint_count.end()) continue;  // never wired up
-    if (it->second.first == 1 && it->second.second == 1 &&
-        !plumbing[stream.get()]) {
+  for (const auto& [stream, ends] : CountStreamEndpoints(operators_)) {
+    if (ends.producers == 1 && ends.consumers == 1 && !ends.plumbing) {
       (void)stream->TryEnableSpsc();
     }
   }

@@ -1,8 +1,10 @@
 // Continuous query: a DAG of operators connected by bounded streams (paper
 // §2). The builder API creates operators and returns the stream handle of
 // each operator's output; every stream has exactly one producer and one
-// consumer (fan-out is explicit via AddSplit, parallelism via the
-// router/union pair built by the `parallelism` argument of AddFlatMap).
+// consumer (fan-out is explicit via AddSplit). Keyed parallelism — the
+// `parallelism` argument of AddFlatMap and the `shards` argument of
+// AddAggregate and AddJoin — builds one hash router per input, n worker
+// instances `name[i]` and a union merging their outputs.
 //
 // Lifecycle: build -> Start() -> [Stop()] -> Join(). Sources end the query
 // naturally by returning nullopt; Stop() asks sources to finish early. End
@@ -10,6 +12,7 @@
 // and exits, so Join() returns once the sinks have consumed everything.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -36,9 +39,6 @@ struct QueryOptions {
   /// Upper bound (µs, query clock) a tuple may wait in an emit buffer.
   /// Idle-triggered flushes keep latency flat at low rates regardless.
   std::int64_t batch_linger_us = BatchPolicy{}.linger_us;
-  /// Allow Start() to switch 1-producer/1-consumer streams to the lock-free
-  /// SPSC ring (Router/Union endpoints always keep the MPMC queue).
-  bool enable_spsc = true;
   /// Allow Start() to fuse adjacent stateless operators (FlatMap/Filter
   /// chains on private streams) into single fused workers with no
   /// intermediate queue (see plan_rewrite.hpp). Off by default: the fused
@@ -169,12 +169,30 @@ class Query {
     std::string base;
     bool is_join = false;
     int shards = 1;
+
+    /// Name of instance `i`: `base` when unsharded, else `base[i]`.
+    [[nodiscard]] std::string instance(int i) const {
+      return shards == 1 ? base : base + "[" + std::to_string(i) + "]";
+    }
   };
+
+  using NewWorkerFn = std::function<Operator*(const std::string& name)>;
 
   StreamPtr NewStream(const std::string& name);
   void Consume(const StreamPtr& stream);  // enforce single consumer
-  /// Switch eligible streams (one producer op, one consumer op, no
-  /// router/union endpoint) to the lock-free SPSC transport.
+  /// Builds one keyed stage over `ins` (one input, or a join's [L, R]) with
+  /// `keys[s]` keying input s. n == 1: one worker named `name` reads the
+  /// inputs directly. n > 1: a router per input (`name.router`, or
+  /// `name.router.left/right`), n workers `name[i]` fed by `name.shard{i}`
+  /// (or `name.left{i}`/`name.right{i}`) and writing `name.shard{i}.out`,
+  /// and a union `name.union`. The stage's output stream is `name.out`.
+  /// The inputs must already be Consume()d.
+  StreamPtr AddKeyedStage(const std::string& name, std::vector<StreamPtr> ins,
+                          std::vector<KeyFn> keys, int n,
+                          const NewWorkerFn& new_worker);
+  /// Switch streams with one producer op, one consumer op and no
+  /// router/union endpoint to the lock-free SPSC transport (MPMC stays on
+  /// the fan-out/fan-in edges).
   void EnableSpscFastPaths();
   /// Re-hash `group`'s manifest blobs onto its current shard count; blob
   /// names consumed here are added to `consumed` and skipped by the plain
@@ -182,6 +200,8 @@ class Query {
   [[nodiscard]] Status RestoreShardGroup(
       const ShardGroup& group, const CheckpointManifest& manifest,
       std::unordered_set<std::string>* consumed);
+  /// FindOperator for callers already holding build_mu_.
+  [[nodiscard]] Operator* FindOperatorLocked(const std::string& name) const;
   template <typename Op, typename... Args>
   Op* NewOperator(Args&&... args);
 

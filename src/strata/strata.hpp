@@ -143,8 +143,10 @@ class Strata {
   /// partition(s_in, s_out, F): splits tuples into independently-processable
   /// units (specimens, cells); F sets specimen/portion. Null F = identity
   /// with default specimen/portion, as Table 1 specifies. parallelism > 1
-  /// shards by (job, specimen) after F-application... shard key: the
-  /// *input* tuple's (job, layer, specimen) — see shard_by_specimen.
+  /// hash-routes each *input* tuple across `parallelism` instances by
+  /// SpecimenShardKey (strata.cpp): job|specimen once the tuple carries a
+  /// specimen, job|layer before, so one specimen's data and layer markers
+  /// stay on one instance.
   [[nodiscard]] spe::StreamPtr Partition(const std::string& name,
                                          spe::StreamPtr in, PartitionFn fn,
                                          int parallelism = 1);

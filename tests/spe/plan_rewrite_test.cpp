@@ -44,13 +44,16 @@ std::int64_t SeededValue(std::int64_t i) {
 // ------------------------------------------------- fused-vs-unfused chains
 
 /// gen -> expand (1-2 tuples) -> keep (drop v%2) -> scale (v*3) -> sink.
-/// The three stateless stages form one fusable chain.
+/// The three stateless stages form one fusable chain. `pace` sleeps before
+/// each generated tuple, so checkpoint barriers interleave with the data.
 void BuildChainPipeline(Query* query, std::int64_t tuples,
-                        testutil::Collector* sink) {
+                        testutil::Collector* sink,
+                        std::chrono::microseconds pace = 0us) {
   auto position = std::make_shared<std::int64_t>(0);
   auto gen = query->AddSource(
-      "gen", [position, tuples]() -> std::optional<Tuple> {
+      "gen", [position, tuples, pace]() -> std::optional<Tuple> {
         if (*position >= tuples) return std::nullopt;
+        if (pace > 0us) std::this_thread::sleep_for(pace);
         Tuple t = testutil::MakeTuple(*position);
         t.stimulus = *position + 1;
         t.payload.Set("v", SeededValue(*position));
@@ -134,6 +137,41 @@ TEST(OperatorFusion, PerStageStatsSurviveFusion) {
     if (SeededValue(i) == 777) ++expected_errors;
   }
   EXPECT_EQ(total_errors, expected_errors);
+}
+
+TEST(OperatorFusion, TuplesInCountsDataTuplesNotBarriers) {
+  constexpr std::int64_t kTuples = 400;
+  std::map<std::string, OperatorStats> stats[2];
+  for (int fusion = 0; fusion < 2; ++fusion) {
+    QueryOptions options;
+    options.enable_fusion = fusion == 1;
+    Query query(options);
+    InMemoryCheckpointStore store;
+    CheckpointerOptions cp_options;
+    cp_options.interval_ms = 5;
+    query.EnableCheckpointing(&store, cp_options);
+    testutil::Collector sink;
+    BuildChainPipeline(&query, kTuples, &sink, 100us);
+    query.Run();
+    ASSERT_GE(query.checkpointer()->stats().epochs_completed, 2u)
+        << "fusion=" << fusion << ": too few barriers crossed the chain";
+    for (const OperatorStats& s : query.Stats()) stats[fusion][s.name] = s;
+  }
+  for (int fusion = 0; fusion < 2; ++fusion) {
+    // Every operator's tuples_in is the data its upstream emitted: barrier
+    // markers travel the same streams but are not data.
+    const auto& s = stats[fusion];
+    EXPECT_EQ(s.at("gen").tuples_in, static_cast<std::uint64_t>(kTuples));
+    EXPECT_EQ(s.at("expand").tuples_in, s.at("gen").tuples_out) << fusion;
+    EXPECT_EQ(s.at("keep").tuples_in, s.at("expand").tuples_out) << fusion;
+    EXPECT_EQ(s.at("scale").tuples_in, s.at("keep").tuples_out) << fusion;
+    EXPECT_EQ(s.at("sink").tuples_in, s.at("scale").tuples_out) << fusion;
+  }
+  for (const auto& [name, unfused] : stats[0]) {
+    const OperatorStats& fused = stats[1].at(name);
+    EXPECT_EQ(fused.tuples_in, unfused.tuples_in) << name;
+    EXPECT_EQ(fused.tuples_out, unfused.tuples_out) << name;
+  }
 }
 
 TEST(OperatorFusion, FusionPassFindsTheChain) {
