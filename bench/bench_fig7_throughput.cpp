@@ -156,22 +156,21 @@ void PrintStageMetrics(const obs::MetricsSnapshot& snap) {
   std::printf("\n");
 }
 
-/// One replay of `images` images through the Algorithm-1 query. A
-/// `window` > 0 runs it closed loop (see ReplayWindow) instead of at `rate`.
+/// One replay of `images` images through the Algorithm-1 query, with the
+/// cell and label stages at parallelism 2. A `window` > 0 runs it closed
+/// loop (see ReplayWindow) instead of at `rate`.
 SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
                           int images,
                           std::int64_t checkpoint_interval_ms = 0,
-                          bool fusion = false, int parallelism = 2,
                           int window = 0) {
   StrataOptions options;
   options.checkpoint_interval_ms = checkpoint_interval_ms;
-  options.query.enable_fusion = fusion;
   Strata strata_rt(options);
   UseCaseParams params;
   params.cell_px = cell_px;
   params.correlate_layers = 20;
-  params.partition_parallelism = parallelism;
-  params.detect_parallelism = parallelism;
+  params.partition_parallelism = 2;
+  params.detect_parallelism = 2;
   ComputeAndStoreThresholds(&strata_rt, params.machine_id, cache.job,
                             /*history_layers=*/2, cell_px)
       .OrDie();
@@ -260,7 +259,7 @@ bool RunCheckpointOverhead(const FrameCache& cache, int image_px,
               kWindow, kImages, static_cast<long long>(kIntervalMs));
   auto trial = [&](std::int64_t interval_ms) {
     return RunReplayTrial(cache, cell_px, /*rate=*/0, kImages, interval_ms,
-                          /*fusion=*/false, /*parallelism=*/2, kWindow);
+                          kWindow);
   };
   const SweepPoint off = trial(0);
   const SweepPoint on = trial(kIntervalMs);
@@ -300,42 +299,6 @@ bool RunCheckpointOverhead(const FrameCache& cache, int image_px,
     return false;
   }
   return true;
-}
-
-/// Fused vs unfused at saturation: the unthrottled replay at the 10x10
-/// paper cell (the cell-bound regime), both runs at parallelism 1 so the
-/// spec -> cell -> label stages form one fusable stateless chain. The
-/// fused row should saturate higher: three queue hops collapse into one
-/// in-loop chain.
-void RunFusionComparison(const FrameCache& cache, int image_px,
-                         JsonLinesWriter* out) {
-  const int cell_px = std::max(1, 10 * image_px / 2000);
-  const int images = 128;
-  std::printf(
-      "--- operator fusion (cell 10x10, unthrottled, parallelism 1) ---\n");
-  SweepPoint points[2];
-  for (int fusion = 0; fusion < 2; ++fusion) {
-    points[fusion] =
-        RunReplayTrial(cache, cell_px, /*rate=*/0, images,
-                       /*checkpoint_interval_ms=*/0, fusion == 1,
-                       /*parallelism=*/1);
-    std::printf("    fusion=%d: %.1f img/s, %.1f kcells/s, p95 %.2f ms\n",
-                fusion, points[fusion].achieved_images_s,
-                points[fusion].kcells_s, points[fusion].p95_latency_ms);
-    out->Line(JsonObject()
-                  .Str("bench", "bench_fig7_throughput")
-                  .Str("kind", "fused")
-                  .Int("paper_cell", 10)
-                  .Int("image_px", image_px)
-                  .Int("fusion", fusion)
-                  .Num("achieved_images_s", points[fusion].achieved_images_s)
-                  .Num("kcells_s", points[fusion].kcells_s)
-                  .Num("p95_latency_ms", points[fusion].p95_latency_ms));
-  }
-  if (points[0].kcells_s > 0) {
-    std::printf("    fusion speedup: %.2fx\n",
-                points[1].kcells_s / points[0].kcells_s);
-  }
 }
 
 /// Keyed-shard scaling on a synthetic CPU-heavy keyed aggregate (the fig7
@@ -512,7 +475,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  RunFusionComparison(cache, image_px, &out);
   RunKeyedShardScaling(&out);
   const bool enough_epochs = RunCheckpointOverhead(cache, image_px, &out);
 

@@ -71,10 +71,7 @@ void Operator::LogUserError(const char* what) {
 }
 
 void Operator::NotifyFinished() {
-  if (checkpointer_ == nullptr) return;
-  for (Operator* op : CheckpointIdentities()) {
-    checkpointer_->OnOperatorFinished(op->name());
-  }
+  if (checkpointer_ != nullptr) checkpointer_->OnOperatorFinished(name());
 }
 
 obs::SpanScope Operator::BatchSpan(const char* category,
@@ -105,16 +102,12 @@ Status Operator::RestoreState(std::string_view blob) {
 void Operator::CompleteBarrier(std::uint64_t epoch) {
   FlushEmit();  // no partial batch may straddle the epoch boundary
   if (checkpointer_ != nullptr) {
-    // One snapshot per identity, under its registered name: a manifest
-    // written by a fused plan restores into an unfused one and vice versa.
-    for (Operator* op : CheckpointIdentities()) {
-      std::string blob;
-      const Status snapshot = op->SnapshotState(epoch, &blob);
-      if (snapshot.ok()) {
-        checkpointer_->ReportSnapshot(op->name(), epoch, std::move(blob));
-      } else {
-        checkpointer_->ReportSnapshotFailure(op->name(), epoch, snapshot);
-      }
+    std::string blob;
+    const Status snapshot = SnapshotState(epoch, &blob);
+    if (snapshot.ok()) {
+      checkpointer_->ReportSnapshot(name(), epoch, std::move(blob));
+    } else {
+      checkpointer_->ReportSnapshotFailure(name(), epoch, snapshot);
     }
   }
   ForwardBarrier(epoch);

@@ -135,20 +135,6 @@ class Operator {
     return s;
   }
 
-  /// Fold externally-executed work into this operator's counters. Used by
-  /// the fusion pass: a fused worker runs an absorbed operator's function
-  /// and attributes the per-stage counts here, so Stats()/metrics keep
-  /// per-stage identity even though the operator's own thread never runs.
-  void AccumulateStageCounts(std::uint64_t in, std::uint64_t out,
-                             std::uint64_t errors, std::uint64_t discarded) {
-    if (in != 0) in_count_.fetch_add(in, std::memory_order_relaxed);
-    if (out != 0) out_count_.fetch_add(out, std::memory_order_relaxed);
-    if (errors != 0) user_errors_.fetch_add(errors, std::memory_order_relaxed);
-    if (discarded != 0) {
-      discarded_.fetch_add(discarded, std::memory_order_relaxed);
-    }
-  }
-
  protected:
   [[nodiscard]] bool StopRequested() const {
     return stop_requested_.load(std::memory_order_acquire);
@@ -304,11 +290,10 @@ class Operator {
                                          const TupleBatch& batch) const;
 
   /// A barrier for `epoch` has drained past this operator: flush the emit
-  /// buffers (no partial batch may straddle an epoch), snapshot every
-  /// checkpoint identity, report to the checkpointer, and forward the
-  /// barrier to every open output. No-op data-plane-wise when no
-  /// checkpointer is wired (the barrier is still forwarded so downstream
-  /// operators see it).
+  /// buffers (no partial batch may straddle an epoch), snapshot this
+  /// operator, report to the checkpointer, and forward the barrier to every
+  /// open output. No-op data-plane-wise when no checkpointer is wired (the
+  /// barrier is still forwarded so downstream operators see it).
   void CompleteBarrier(std::uint64_t epoch);
 
   /// Broadcast Tuple::Barrier(epoch) to every open output — including all
@@ -354,13 +339,8 @@ class Operator {
 
  private:
   void LogUserError(const char* what);
-  /// The logical operators this thread snapshots and finishes for: itself,
-  /// or a fused worker's absorbed stages, each under its registered name.
-  [[nodiscard]] virtual std::vector<Operator*> CheckpointIdentities() {
-    return {this};
-  }
   /// Called exactly once from CloseOutputs as the Run() body exits: reports
-  /// every checkpoint identity finished to the checkpointer.
+  /// this operator finished to the checkpointer.
   void NotifyFinished();
 
   void EnsureEmitState() {
@@ -532,10 +512,6 @@ class FlatMapOperator final : public Operator {
       : Operator(std::move(name), clock), fn_(std::move(fn)) {}
   void Run() override;
 
-  /// The user function, borrowed by the fusion pass (plan_rewrite) so a
-  /// fused worker can run this stage without the operator's thread.
-  [[nodiscard]] const FlatMapFn& fn() const noexcept { return fn_; }
-
  private:
   FlatMapFn fn_;
 };
@@ -548,9 +524,6 @@ class FilterOperator final : public Operator {
   FilterOperator(std::string name, const Clock* clock, FilterFn fn)
       : Operator(std::move(name), clock), fn_(std::move(fn)) {}
   void Run() override;
-
-  /// The user predicate, borrowed by the fusion pass (see FlatMapOperator).
-  [[nodiscard]] const FilterFn& fn() const noexcept { return fn_; }
 
  private:
   FilterFn fn_;

@@ -2,209 +2,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/codec.hpp"
-#include "common/logging.hpp"
-#include "obs/trace.hpp"
 #include "spe/checkpoint.hpp"
 
 namespace strata::spe {
-
-namespace {
-
-/// Per-stage counters accumulated locally while a batch runs the chain and
-/// flushed into the constituent operators' atomics once per drained batch.
-struct StageCounts {
-  std::uint64_t in = 0;
-  std::uint64_t out = 0;
-  std::uint64_t errors = 0;
-};
-
-}  // namespace
-
-// ----------------------------------------------------------- FusedOperator
-
-FusedOperator::FusedOperator(std::string name, const Clock* clock,
-                             std::vector<Stage> stages)
-    : Operator(std::move(name), clock), stages_(std::move(stages)) {}
-
-void FusedOperator::Run() {
-  std::vector<StageCounts> counts(stages_.size());
-  std::uint64_t last_discarded = stats().discarded;
-  // Flush the locally-accumulated per-stage counts into the absorbed
-  // operators so Stats()/metrics keep per-stage identity. Output discards
-  // (closed downstream) happen at the chain's Emit, so the delta in this
-  // operator's own counter is attributed to the tail stage.
-  auto flush_counts = [&] {
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-      if (counts[s].in == 0 && counts[s].out == 0 && counts[s].errors == 0) {
-        continue;
-      }
-      stages_[s].op->AccumulateStageCounts(counts[s].in, counts[s].out,
-                                           counts[s].errors, 0);
-      counts[s] = StageCounts{};
-    }
-    const std::uint64_t discarded = stats().discarded;
-    if (discarded != last_discarded) {
-      stages_.back().op->AccumulateStageCounts(0, 0, 0,
-                                               discarded - last_discarded);
-      last_discarded = discarded;
-    }
-  };
-
-  // The batch span is named after the fused operator — the constituent
-  // names joined with '+' — so /tracez shows which logical stages ran.
-  TupleBatch cur;
-  TupleBatch next;
-  DrainInput(
-      "spe.fused",
-      [&](Tuple& tuple, const obs::SpanScope& span) {
-        cur.clear();
-        cur.push_back(std::move(tuple));
-        for (std::size_t s = 0; s < stages_.size() && !cur.empty(); ++s) {
-          const Stage& stage = stages_[s];
-          counts[s].in += cur.size();
-          next.clear();
-          for (Tuple& t : cur) {
-            try {
-              if (stage.flatmap != nullptr) {
-                for (Tuple& out : (*stage.flatmap)(t)) {
-                  if (out.stimulus == 0) out.stimulus = t.stimulus;
-                  next.push_back(std::move(out));
-                }
-              } else if ((*stage.filter)(t)) {
-                next.push_back(std::move(t));
-              }
-            } catch (const std::exception& e) {
-              ++counts[s].errors;
-              LOG_ERROR << "operator '" << stage.op->name()
-                        << "' (fused): user function threw: " << e.what();
-            }
-          }
-          counts[s].out += next.size();
-          cur.swap(next);
-        }
-        for (Tuple& out : cur) {
-          if (span.active()) out.trace = span.EmitContext();
-          if (!Emit(std::move(out))) return false;
-        }
-        return true;
-      },
-      flush_counts);
-  CloseOutputs();
-}
-
-std::vector<Operator*> FusedOperator::CheckpointIdentities() {
-  // The constituents are what the checkpointer knows about; the fused
-  // worker itself is never registered.
-  std::vector<Operator*> ops;
-  ops.reserve(stages_.size());
-  for (const Stage& stage : stages_) ops.push_back(stage.op);
-  return ops;
-}
-
-// ------------------------------------------------------ FuseStatelessChains
-
-std::unordered_map<Stream*, StreamEndpoints> CountStreamEndpoints(
-    const std::vector<std::unique_ptr<Operator>>& operators) {
-  std::unordered_map<Stream*, StreamEndpoints> census;
-  for (const auto& op : operators) {
-    const std::string_view kind = op->kind();
-    const bool plumbing = kind == "router" || kind == "union";
-    for (const StreamPtr& out : op->outputs()) {
-      StreamEndpoints& ends = census[out.get()];
-      ++ends.producers;
-      ends.plumbing |= plumbing;
-    }
-    for (const StreamPtr& in : op->inputs()) {
-      StreamEndpoints& ends = census[in.get()];
-      ++ends.consumers;
-      ends.plumbing |= plumbing;
-    }
-  }
-  return census;
-}
-
-FusionPlan FuseStatelessChains(
-    const std::vector<std::unique_ptr<Operator>>& operators,
-    const Clock* clock) {
-  // A fusable link must be a private stream: exactly one registered
-  // producer and one registered consumer.
-  const auto census = CountStreamEndpoints(operators);
-
-  // Eligible members: stateless 1-input/1-output operators. (A Split is a
-  // FlatMap with N outputs and drops out on the output-count rule.)
-  auto eligible = [](Operator* op) -> FusedOperator::Stage {
-    FusedOperator::Stage stage;
-    if (op->inputs().size() != 1 || op->outputs().size() != 1) return stage;
-    if (auto* fm = dynamic_cast<FlatMapOperator*>(op)) {
-      stage.op = op;
-      stage.flatmap = &fm->fn();
-    } else if (auto* f = dynamic_cast<FilterOperator*>(op)) {
-      stage.op = op;
-      stage.filter = &f->fn();
-    }
-    return stage;
-  };
-
-  std::unordered_map<Operator*, FusedOperator::Stage> members;
-  std::unordered_map<const Stream*, Operator*> consumer_of;
-  for (const auto& op : operators) {
-    FusedOperator::Stage stage = eligible(op.get());
-    if (stage.op == nullptr) continue;
-    members.emplace(op.get(), stage);
-    consumer_of.emplace(op->inputs()[0].get(), op.get());
-  }
-
-  // Link a -> b when a's output stream is b's input stream and the stream is
-  // private to the pair.
-  std::unordered_map<Operator*, Operator*> next;
-  std::unordered_set<Operator*> has_prev;
-  for (const auto& [op, stage] : members) {
-    const Stream* out = op->outputs()[0].get();
-    const StreamEndpoints& ends = census.at(op->outputs()[0].get());
-    if (ends.producers != 1 || ends.consumers != 1) continue;
-    const auto it = consumer_of.find(out);
-    if (it == consumer_of.end() || it->second == op) continue;
-    next[op] = it->second;
-    has_prev.insert(it->second);
-  }
-
-  // Greedy maximal chains, walked in plan order so fused names and thread
-  // layout are deterministic. Chains of one stay as plain operators.
-  FusionPlan plan;
-  for (const auto& op : operators) {
-    Operator* head = op.get();
-    if (members.find(head) == members.end()) continue;
-    if (has_prev.find(head) != has_prev.end()) continue;
-    std::vector<FusedOperator::Stage> stages;
-    std::string name;
-    for (Operator* cur = head; cur != nullptr;) {
-      stages.push_back(members.at(cur));
-      if (!name.empty()) name += '+';
-      name += cur->name();
-      const auto it = next.find(cur);
-      cur = it == next.end() ? nullptr : it->second;
-    }
-    if (stages.size() < 2) continue;
-    Operator* tail = stages.back().op;
-    auto fused = std::make_unique<FusedOperator>(std::move(name), clock,
-                                                 std::move(stages));
-    fused->AddInput(head->inputs()[0]);
-    fused->AddOutput(tail->outputs()[0]);
-    for (const FusedOperator::Stage& stage : fused->stages()) {
-      plan.absorbed.push_back(stage.op);
-    }
-    plan.fused.push_back(std::move(fused));
-  }
-  return plan;
-}
-
-// -------------------------------------------------------- shard re-hashing
 
 namespace {
 

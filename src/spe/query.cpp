@@ -1,11 +1,49 @@
 #include "spe/query.hpp"
 
 #include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/logging.hpp"
 #include "spe/plan_rewrite.hpp"
 
 namespace strata::spe {
+
+namespace {
+
+/// The operators registered at one stream's two ends.
+struct StreamEndpoints {
+  int producers = 0;
+  int consumers = 0;
+  /// A router or union is one of them.
+  bool plumbing = false;
+};
+
+/// Endpoint census of every stream `operators` read or write. A stream
+/// pushed or popped from outside the query has an endpoint the census cannot
+/// see, so "one producer, one consumer" means private only for streams the
+/// query built.
+std::unordered_map<Stream*, StreamEndpoints> CountStreamEndpoints(
+    const std::vector<std::unique_ptr<Operator>>& operators) {
+  std::unordered_map<Stream*, StreamEndpoints> census;
+  for (const auto& op : operators) {
+    const std::string_view kind = op->kind();
+    const bool plumbing = kind == "router" || kind == "union";
+    for (const StreamPtr& out : op->outputs()) {
+      StreamEndpoints& ends = census[out.get()];
+      ++ends.producers;
+      ends.plumbing |= plumbing;
+    }
+    for (const StreamPtr& in : op->inputs()) {
+      StreamEndpoints& ends = census[in.get()];
+      ++ends.consumers;
+      ends.plumbing |= plumbing;
+    }
+  }
+  return census;
+}
+
+}  // namespace
 
 Query::Query(QueryOptions options) : options_(options) {
   if (options_.queue_capacity == 0) {
@@ -346,33 +384,14 @@ void Query::Start() {
   const BatchPolicy policy{options_.batch_size, options_.batch_linger_us};
   for (auto& op : operators_) op->ConfigureBatching(policy);
   if (checkpointer_) {
-    // Registration stays in terms of logical operators: a fused worker
-    // reports one snapshot per absorbed constituent under its own name.
     for (auto& op : operators_) {
       checkpointer_->RegisterOperator(op->name());  // throws on duplicates
       op->SetCheckpointer(checkpointer_.get());
     }
   }
-  // Plan rewrite: collapse stateless chains into fused workers. Absorbed
-  // operators keep their place in operators_ (stats, checkpoint names,
-  // ToDot) but never get a thread; the fused worker runs their functions.
-  std::unordered_set<const Operator*> absorbed;
-  if (options_.enable_fusion) {
-    FusionPlan plan = FuseStatelessChains(operators_, options_.clock);
-    absorbed.insert(plan.absorbed.begin(), plan.absorbed.end());
-    fused_ = std::move(plan.fused);
-    for (auto& op : fused_) {
-      op->ConfigureBatching(policy);
-      if (checkpointer_) op->SetCheckpointer(checkpointer_.get());
-    }
-  }
   EnableSpscFastPaths();
-  threads_.reserve(operators_.size() + fused_.size());
+  threads_.reserve(operators_.size());
   for (auto& op : operators_) {
-    if (absorbed.find(op.get()) != absorbed.end()) continue;
-    threads_.emplace_back([raw = op.get()] { raw->Run(); });
-  }
-  for (auto& op : fused_) {
     threads_.emplace_back([raw = op.get()] { raw->Run(); });
   }
   if (checkpointer_) checkpointer_->Start();
@@ -391,7 +410,6 @@ void Query::EnableSpscFastPaths() {
 
 void Query::Stop() {
   for (auto& op : operators_) op->RequestStop();
-  for (auto& op : fused_) op->RequestStop();
 }
 
 void Query::Join() {

@@ -66,7 +66,9 @@ struct Tuple {
     out += " layer=" + std::to_string(layer);
     if (specimen != kUnsetId) out += " spec=" + std::to_string(specimen);
     if (portion != kUnsetId) out += " portion=" + std::to_string(portion);
-    out += " " + payload.ToString() + ">";
+    out += ' ';
+    out += payload.ToString();
+    out += '>';
     return out;
   }
 };

@@ -106,10 +106,9 @@ spe::AggregateSpec SeverityCountSpec() {
 /// prefix-consistent subset of the same report set. `emit_delay` stretches
 /// the run so the parent's kill lands mid-stream; zero for the reference.
 ///
-/// Shape: gen -> detect -> enrich (a fusable stateless chain) -> tee;
-/// one branch delivers per-tuple reports, the other runs a keyed
-/// 2-shard severity-count aggregate delivered under "counts/". With
-/// enable_fusion on (ScenarioOptions) this exercises fused barriers and
+/// Shape: gen -> detect -> enrich (a stateless chain) -> tee; one branch
+/// delivers per-tuple reports, the other runs a keyed 2-shard
+/// severity-count aggregate delivered under "counts/", so this exercises
 /// per-shard snapshot replay under kill -9.
 void BuildPipeline(Strata* strata, std::chrono::microseconds emit_delay) {
   auto position = std::make_shared<std::int64_t>(0);
@@ -176,9 +175,6 @@ StrataOptions ScenarioOptions(const std::filesystem::path& dir) {
   options.persistent_connectors = true;
   options.connector_partitions = 1;
   options.checkpoint_interval_ms = 50;
-  // Fuse the detect->enrich chain: recovery must also be exact when
-  // barriers are forwarded by fused workers.
-  options.query.enable_fusion = true;
   return options;
 }
 

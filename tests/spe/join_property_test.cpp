@@ -26,10 +26,14 @@ struct JoinCase {
 
 std::string PrintCase(const ::testing::TestParamInfo<JoinCase>& info) {
   const JoinCase& c = info.param;
-  return "l" + std::to_string(c.left_count) + "_r" +
-         std::to_string(c.right_count) + "_w" + std::to_string(c.window) +
-         "_k" + std::to_string(c.key_cardinality) + "_g" +
-         std::to_string(c.max_gap) + "_s" + std::to_string(c.seed);
+  std::string name = "l";
+  name += std::to_string(c.left_count);
+  name += "_r" + std::to_string(c.right_count);
+  name += "_w" + std::to_string(c.window);
+  name += "_k" + std::to_string(c.key_cardinality);
+  name += "_g" + std::to_string(c.max_gap);
+  name += "_s" + std::to_string(c.seed);
+  return name;
 }
 
 std::vector<Tuple> RandomStream(Rng& rng, int count, int key_cardinality,

@@ -1,8 +1,8 @@
-// Plan-rewrite equivalence: fused-vs-unfused stateless chains and
-// keyed-sharded-vs-unsharded stateful stages must produce identical results
-// on seeded inputs, including across checkpoint/restore and restore onto a
-// different shard count (tsan_smoke: routers, fused workers, and shard
-// unions all run concurrently here).
+// Per-stage accounting on a stateless chain, and keyed sharding: sharded and
+// unsharded stateful stages must produce identical results on seeded inputs,
+// including across checkpoint/restore and restore onto a different shard
+// count (tsan_smoke: routers, workers and shard unions all run concurrently
+// here).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,11 +41,11 @@ std::int64_t SeededValue(std::int64_t i) {
   return static_cast<std::int64_t>((x ^ (x >> 31)) % 1000);
 }
 
-// ------------------------------------------------- fused-vs-unfused chains
+// ------------------------------------------------------ stateless chains
 
 /// gen -> expand (1-2 tuples) -> keep (drop v%2) -> scale (v*3) -> sink.
-/// The three stateless stages form one fusable chain. `pace` sleeps before
-/// each generated tuple, so checkpoint barriers interleave with the data.
+/// `pace` sleeps before each generated tuple, so checkpoint barriers
+/// interleave with the data.
 void BuildChainPipeline(Query* query, std::int64_t tuples,
                         testutil::Collector* sink,
                         std::chrono::microseconds pace = 0us) {
@@ -63,7 +63,7 @@ void BuildChainPipeline(Query* query, std::int64_t tuples,
   auto expanded = query->AddFlatMap(
       "expand", std::move(gen), [](const Tuple& t) {
         const std::int64_t v = t.payload.Get("v").AsInt();
-        if (v == 777) throw std::runtime_error("expand: seeded failure");
+        if (v % 100 == 77) throw std::runtime_error("expand: seeded failure");
         std::vector<Tuple> out{t};
         if (v % 3 == 0) {
           Tuple extra = t;
@@ -84,131 +84,51 @@ void BuildChainPipeline(Query* query, std::int64_t tuples,
   query->AddSink("sink", std::move(scaled), sink->AsSink());
 }
 
-std::vector<std::pair<Timestamp, std::int64_t>> ChainOutput(bool fusion) {
-  QueryOptions options;
-  options.enable_fusion = fusion;
-  Query query(options);
+TEST(OperatorFusion, PerStageStatsSurviveFusion) {
+  Query query;
   testutil::Collector sink;
   BuildChainPipeline(&query, 400, &sink);
   query.Run();
-  std::vector<std::pair<Timestamp, std::int64_t>> out;
-  for (const Tuple& t : sink.tuples()) {
-    out.emplace_back(t.event_time, t.payload.Get("v").AsInt());
-  }
-  return out;
-}
-
-TEST(OperatorFusion, FusedChainMatchesUnfusedOutputExactly) {
-  const auto unfused = ChainOutput(false);
-  const auto fused = ChainOutput(true);
-  ASSERT_FALSE(unfused.empty());
-  // A single chain preserves total order, so the sequences are identical,
-  // not just equal as multisets.
-  EXPECT_EQ(fused, unfused);
-}
-
-TEST(OperatorFusion, PerStageStatsSurviveFusion) {
-  std::map<std::string, OperatorStats> stats[2];
-  for (int fusion = 0; fusion < 2; ++fusion) {
-    QueryOptions options;
-    options.enable_fusion = fusion == 1;
-    Query query(options);
-    testutil::Collector sink;
-    BuildChainPipeline(&query, 400, &sink);
-    query.Run();
-    for (const OperatorStats& s : query.Stats()) stats[fusion][s.name] = s;
-  }
-  // Same logical operator set either way: fusion is an execution detail.
-  ASSERT_EQ(stats[0].size(), stats[1].size());
-  for (const auto& [name, unfused] : stats[0]) {
-    ASSERT_TRUE(stats[1].count(name)) << "fused run lost operator " << name;
-    const OperatorStats& fused = stats[1][name];
-    EXPECT_EQ(fused.kind, unfused.kind) << name;
-    EXPECT_EQ(fused.tuples_in, unfused.tuples_in) << name;
-    EXPECT_EQ(fused.tuples_out, unfused.tuples_out) << name;
-    EXPECT_EQ(fused.user_errors, unfused.user_errors) << name;
-  }
-  // The seeded failure fires for every v == 777 input; make sure the test
-  // exercised the error-attribution path at all.
-  std::uint64_t total_errors = 0;
-  for (const auto& [name, s] : stats[1]) total_errors += s.user_errors;
+  std::map<std::string, OperatorStats> stats;
+  for (const OperatorStats& s : query.Stats()) stats[s.name] = s;
+  ASSERT_EQ(stats.size(), 5u);
+  EXPECT_EQ(stats.at("expand").kind, "flatmap");
+  EXPECT_EQ(stats.at("keep").kind, "filter");
+  EXPECT_EQ(stats.at("scale").kind, "flatmap");
+  // The seeded failure fires for every v % 100 == 77 input, and the error
+  // is counted on the stage whose function threw.
   std::uint64_t expected_errors = 0;
   for (std::int64_t i = 0; i < 400; ++i) {
-    if (SeededValue(i) == 777) ++expected_errors;
+    if (SeededValue(i) % 100 == 77) ++expected_errors;
   }
+  ASSERT_GT(expected_errors, 0u);
+  std::uint64_t total_errors = 0;
+  for (const auto& [name, s] : stats) total_errors += s.user_errors;
   EXPECT_EQ(total_errors, expected_errors);
+  EXPECT_EQ(stats.at("expand").user_errors, expected_errors);
 }
 
 TEST(OperatorFusion, TuplesInCountsDataTuplesNotBarriers) {
   constexpr std::int64_t kTuples = 400;
-  std::map<std::string, OperatorStats> stats[2];
-  for (int fusion = 0; fusion < 2; ++fusion) {
-    QueryOptions options;
-    options.enable_fusion = fusion == 1;
-    Query query(options);
-    InMemoryCheckpointStore store;
-    CheckpointerOptions cp_options;
-    cp_options.interval_ms = 5;
-    query.EnableCheckpointing(&store, cp_options);
-    testutil::Collector sink;
-    BuildChainPipeline(&query, kTuples, &sink, 100us);
-    query.Run();
-    ASSERT_GE(query.checkpointer()->stats().epochs_completed, 2u)
-        << "fusion=" << fusion << ": too few barriers crossed the chain";
-    for (const OperatorStats& s : query.Stats()) stats[fusion][s.name] = s;
-  }
-  for (int fusion = 0; fusion < 2; ++fusion) {
-    // Every operator's tuples_in is the data its upstream emitted: barrier
-    // markers travel the same streams but are not data.
-    const auto& s = stats[fusion];
-    EXPECT_EQ(s.at("gen").tuples_in, static_cast<std::uint64_t>(kTuples));
-    EXPECT_EQ(s.at("expand").tuples_in, s.at("gen").tuples_out) << fusion;
-    EXPECT_EQ(s.at("keep").tuples_in, s.at("expand").tuples_out) << fusion;
-    EXPECT_EQ(s.at("scale").tuples_in, s.at("keep").tuples_out) << fusion;
-    EXPECT_EQ(s.at("sink").tuples_in, s.at("scale").tuples_out) << fusion;
-  }
-  for (const auto& [name, unfused] : stats[0]) {
-    const OperatorStats& fused = stats[1].at(name);
-    EXPECT_EQ(fused.tuples_in, unfused.tuples_in) << name;
-    EXPECT_EQ(fused.tuples_out, unfused.tuples_out) << name;
-  }
-}
-
-TEST(OperatorFusion, FusionPassFindsTheChain) {
-  // Hand-built operator list (the same shape Query::Start hands the pass):
-  // expand -> keep -> scale over private 1:1 streams.
-  const Clock* clock = &Clock::System();
-  auto s_in = std::make_shared<Stream>("in", 16);
-  auto s_a = std::make_shared<Stream>("a", 16);
-  auto s_b = std::make_shared<Stream>("b", 16);
-  auto s_out = std::make_shared<Stream>("out", 16);
-  std::vector<std::unique_ptr<Operator>> ops;
-  auto expand = std::make_unique<FlatMapOperator>(
-      "expand", clock, [](const Tuple& t) { return std::vector<Tuple>{t}; });
-  expand->AddInput(s_in);
-  expand->AddOutput(s_a);
-  auto keep = std::make_unique<FilterOperator>(
-      "keep", clock, [](const Tuple&) { return true; });
-  keep->AddInput(s_a);
-  keep->AddOutput(s_b);
-  auto scale = std::make_unique<FlatMapOperator>(
-      "scale", clock, [](const Tuple& t) { return std::vector<Tuple>{t}; });
-  scale->AddInput(s_b);
-  scale->AddOutput(s_out);
-  ops.push_back(std::move(expand));
-  ops.push_back(std::move(keep));
-  ops.push_back(std::move(scale));
-
-  FusionPlan plan = FuseStatelessChains(ops, clock);
-  ASSERT_EQ(plan.fused.size(), 1u);
-  EXPECT_EQ(plan.fused[0]->name(), "expand+keep+scale");
-  EXPECT_EQ(plan.absorbed.size(), 3u);
-  EXPECT_EQ(plan.fused[0]->stages().size(), 3u);
-  // The fused worker adopted the chain's endpoints.
-  ASSERT_EQ(plan.fused[0]->inputs().size(), 1u);
-  ASSERT_EQ(plan.fused[0]->outputs().size(), 1u);
-  EXPECT_EQ(plan.fused[0]->inputs()[0].get(), s_in.get());
-  EXPECT_EQ(plan.fused[0]->outputs()[0].get(), s_out.get());
+  Query query;
+  InMemoryCheckpointStore store;
+  CheckpointerOptions cp_options;
+  cp_options.interval_ms = 5;
+  query.EnableCheckpointing(&store, cp_options);
+  testutil::Collector sink;
+  BuildChainPipeline(&query, kTuples, &sink, 100us);
+  query.Run();
+  ASSERT_GE(query.checkpointer()->stats().epochs_completed, 2u)
+      << "too few barriers crossed the chain";
+  std::map<std::string, OperatorStats> s;
+  for (const OperatorStats& op : query.Stats()) s[op.name] = op;
+  // Every operator's tuples_in is the data its upstream emitted: barrier
+  // markers travel the same streams but are not data.
+  EXPECT_EQ(s.at("gen").tuples_in, static_cast<std::uint64_t>(kTuples));
+  EXPECT_EQ(s.at("expand").tuples_in, s.at("gen").tuples_out);
+  EXPECT_EQ(s.at("keep").tuples_in, s.at("expand").tuples_out);
+  EXPECT_EQ(s.at("scale").tuples_in, s.at("keep").tuples_out);
+  EXPECT_EQ(s.at("sink").tuples_in, s.at("scale").tuples_out);
 }
 
 // ------------------------------------------- sharded-vs-unsharded stateful
@@ -383,7 +303,7 @@ void InstallPositionHooks(Query* query, const std::string& name,
       });
 }
 
-/// gen -> (pass -> tag: fusable chain) -> agg[shards] -> sink, with the
+/// gen -> pass -> tag -> agg[shards] -> sink, with the
 /// source pausing at `pause_at` until one epoch commits so run A always
 /// checkpoints mid-stream.
 void BuildCheckpointedPipeline(Query* query, int shards,
@@ -423,7 +343,7 @@ CheckpointReference(std::int64_t tuples) {
   return GroupSequences(sink);
 }
 
-/// Run A: emit `pause_at` tuples with fusion + `shards_a`, force one epoch
+/// Run A: emit `pause_at` tuples with `shards_a`, force one epoch
 /// through mid-stream, end. Run B: rebuild with `shards_b`, recover, emit
 /// the rest. Returns run B's output.
 std::map<std::string, std::vector<std::pair<Timestamp, std::int64_t>>>
@@ -432,9 +352,7 @@ CheckpointRoundTrip(InMemoryCheckpointStore* store, int shards_a, int shards_b,
   CheckpointerOptions cp_options;
   cp_options.interval_ms = 50;
   {
-    QueryOptions options;
-    options.enable_fusion = true;
-    Query a(options);
+    Query a;
     testutil::Collector sink_a;
     auto position = std::make_shared<std::int64_t>(0);
     std::atomic<bool> saw_epoch{false};
@@ -477,9 +395,7 @@ CheckpointRoundTrip(InMemoryCheckpointStore* store, int shards_a, int shards_b,
     EXPECT_TRUE(saw_epoch) << "no checkpoint epoch completed in run A";
   }
 
-  QueryOptions options;
-  options.enable_fusion = true;
-  Query b(options);
+  Query b;
   testutil::Collector sink_b;
   auto position = std::make_shared<std::int64_t>(0);
   BuildCheckpointedPipeline(&b, shards_b, position, tuples, &sink_b);
@@ -523,7 +439,7 @@ void ExpectRestoredSuffix(
   }
 }
 
-TEST(PlanRewriteCheckpoint, FusedAndShardedRestoreMidStream) {
+TEST(PlanRewriteCheckpoint, ShardedRestoreMidStream) {
   InMemoryCheckpointStore store;
   const auto reference = CheckpointReference(600);
   const auto restored = CheckpointRoundTrip(&store, 2, 2, 300, 600);

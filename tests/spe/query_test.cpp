@@ -204,6 +204,32 @@ TEST(QueryIntrospection, ToDotRendersDag) {
   EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
+TEST(QueryTransport, StartPutsOnlyPrivateStreamsOnSpsc) {
+  Query query;
+  auto src = query.AddSource("src", VectorSource({MakeTuple(1), MakeTuple(2)}));
+  auto identity = [](const Tuple& t) { return std::vector<Tuple>{t}; };
+  auto mapped = query.AddFlatMap("map", src, identity);
+  auto sharded = query.AddFlatMap(
+      "par", mapped, identity, 2,
+      [](const Tuple& t) { return std::to_string(t.event_time); });
+  auto copies = query.AddSplit("tee", sharded, 2);
+  Collector first;
+  Collector second;
+  query.AddSink("sink0", copies[0], first.AsSink());
+  query.AddSink("sink1", copies[1], second.AsSink());
+  query.Run();
+  EXPECT_EQ(first.size(), 2u);
+  EXPECT_EQ(second.size(), 2u);
+  // One producer and one consumer operator: the lock-free ring, including
+  // each branch of a split.
+  EXPECT_TRUE(src->spsc());
+  EXPECT_TRUE(copies[0]->spsc());
+  EXPECT_TRUE(copies[1]->spsc());
+  // A router reads `mapped` and a union writes `sharded`: both stay MPMC.
+  EXPECT_FALSE(mapped->spsc());
+  EXPECT_FALSE(sharded->spsc());
+}
+
 TEST(QueryStats, OperatorCountsAllInstances) {
   Query query;
   auto src = query.AddSource("src", VectorSource({}));

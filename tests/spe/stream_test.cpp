@@ -159,7 +159,9 @@ class StreamTransportEquivalence : public ::testing::TestWithParam<bool> {};
 TEST_P(StreamTransportEquivalence, SeededStressSameObservableBehavior) {
   constexpr int kTotal = 20'000;
   Stream stream("s", 16);
-  if (GetParam()) ASSERT_TRUE(stream.TryEnableSpsc());
+  if (GetParam()) {
+    ASSERT_TRUE(stream.TryEnableSpsc());
+  }
   ASSERT_EQ(stream.spsc(), GetParam());
 
   std::thread producer([&] {
@@ -208,7 +210,9 @@ TEST_P(StreamTransportEquivalence, SeededStressSameObservableBehavior) {
 TEST_P(StreamTransportEquivalence, SeededBarrierStreamSameObservableBehavior) {
   constexpr int kTotal = 20'000;
   Stream stream("s", 16);
-  if (GetParam()) ASSERT_TRUE(stream.TryEnableSpsc());
+  if (GetParam()) {
+    ASSERT_TRUE(stream.TryEnableSpsc());
+  }
   ASSERT_EQ(stream.spsc(), GetParam());
 
   std::thread producer([&] {

@@ -67,8 +67,8 @@ TEST_F(KvCheckpointStoreTest, PutCommitGetRoundTrip) {
 TEST_F(KvCheckpointStoreTest, GcKeepsTwoNewestEpochs) {
   KvCheckpointStore store(db_.get());
   for (std::uint64_t epoch = 1; epoch <= 5; ++epoch) {
-    ASSERT_TRUE(
-        store.Put(epoch, "m" + std::to_string(epoch)).ok());
+    const std::string n = std::to_string(epoch);
+    ASSERT_TRUE(store.Put(epoch, "m" + n).ok());
     ASSERT_TRUE(store.Commit(epoch).ok());
   }
   EXPECT_EQ(*store.LatestEpoch(), 5u);
